@@ -9,12 +9,6 @@
 // perf trajectory across PRs: per-kernel best wall time, GFLOP/s, parallel
 // speedup, the blocked-vs-naive GEMM ratio, and the sparse-over-dense
 // speedup per graph density.
-//
-// ODF_GBENCH=1 instead runs the original google-benchmark suite over the
-// tensor kernels, graph convolution, recurrent cells and a full AF training
-// step.
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -23,15 +17,9 @@
 #include <vector>
 
 #include "autograd/ops.h"
-#include "core/advanced_framework.h"
-#include "core/trainer.h"
 #include "graph/laplacian.h"
 #include "graph/region_graph.h"
 #include "nn/cheb_conv.h"
-#include "nn/gcgru.h"
-#include "nn/gru.h"
-#include "nn/optimizer.h"
-#include "sim/trip_generator.h"
 #include "tensor/tensor_ops.h"
 #include "util/env_config.h"
 #include "util/stopwatch.h"
@@ -54,6 +42,9 @@ struct SweepResult {
   double best_seconds = 0;
   double gflops = 0;  // 0 when a flop count is meaningless for the kernel
 };
+
+// Keeps a timed call's result observable so the call cannot be dropped.
+void Sink(const Tensor& t) { asm volatile("" : : "g"(t.data()) : "memory"); }
 
 // Times `fn` (excluding setup): one warmup call, then repetitions until
 // ~0.3 s of accumulated runtime (at least 3), keeping the fastest.
@@ -150,13 +141,13 @@ int RunSubstrateSweep() {
                               "x" + std::to_string(n);
     record("gemm_naive", shape, 1,
            BestSeconds([&] {
-             benchmark::DoNotOptimize(NaiveMatMulReference(a, b));
+             Sink(NaiveMatMulReference(a, b));
            }),
            flops);
     for (int t : thread_counts) {
       ThreadPool::Global().Resize(t);
       record("gemm", shape, t,
-             BestSeconds([&] { benchmark::DoNotOptimize(MatMul(a, b)); }),
+             BestSeconds([&] { Sink(MatMul(a, b)); }),
              flops);
     }
   }
@@ -171,7 +162,7 @@ int RunSubstrateSweep() {
     for (int t : thread_counts) {
       ThreadPool::Global().Resize(t);
       record("batch_matmul", "32x(64x64x64)", t,
-             BestSeconds([&] { benchmark::DoNotOptimize(BatchMatMul(a, b)); }),
+             BestSeconds([&] { Sink(BatchMatMul(a, b)); }),
              flops);
     }
   }
@@ -184,10 +175,10 @@ int RunSubstrateSweep() {
     for (int t : thread_counts) {
       ThreadPool::Global().Resize(t);
       record("add", "4M", t,
-             BestSeconds([&] { benchmark::DoNotOptimize(Add(a, b)); }),
+             BestSeconds([&] { Sink(Add(a, b)); }),
              static_cast<double>(n));
       record("exp", "4M", t,
-             BestSeconds([&] { benchmark::DoNotOptimize(Exp(a)); }),
+             BestSeconds([&] { Sink(Exp(a)); }),
              static_cast<double>(n));
     }
   }
@@ -198,7 +189,7 @@ int RunSubstrateSweep() {
     for (int t : thread_counts) {
       ThreadPool::Global().Resize(t);
       record("softmax", "64x16x16x7", t,
-             BestSeconds([&] { benchmark::DoNotOptimize(SoftmaxLastDim(a)); }),
+             BestSeconds([&] { Sink(SoftmaxLastDim(a)); }),
              0);
     }
   }
@@ -210,7 +201,7 @@ int RunSubstrateSweep() {
     for (int t : thread_counts) {
       ThreadPool::Global().Resize(t);
       record("chebconv_fwd", "b64_n64_f7->16", t, BestSeconds([&] {
-               benchmark::DoNotOptimize(
+               Sink(
                    conv.Forward(ag::Var::Constant(x)).value());
              }),
              0);
@@ -348,20 +339,20 @@ int RunGraphSweep() {
       for (const int t : thread_counts) {
         ThreadPool::Global().Resize(t);
         record("spmm", "sparse", n, density, t, BestSeconds([&] {
-                 benchmark::DoNotOptimize(SpMM(sparse_op->csr(), x));
+                 Sink(SpMM(sparse_op->csr(), x));
                }),
                spmm_sparse_flops);
         record("spmm", "dense", n, density, t, BestSeconds([&] {
-                 benchmark::DoNotOptimize(BatchMatMul(lap, x));
+                 Sink(BatchMatMul(lap, x));
                }),
                spmm_dense_flops);
         record("chebconv_fwd", "sparse", n, density, t, BestSeconds([&] {
-                 benchmark::DoNotOptimize(
+                 Sink(
                      conv_sparse.Forward(ag::Var::Constant(x)).value());
                }),
                0);
         record("chebconv_fwd", "dense", n, density, t, BestSeconds([&] {
-                 benchmark::DoNotOptimize(
+                 Sink(
                      conv_dense.Forward(ag::Var::Constant(x)).value());
                }),
                0);
@@ -445,162 +436,28 @@ int RunGraphSweep() {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// google-benchmark suite (ODF_GBENCH=1)
-// ---------------------------------------------------------------------------
-
-void BM_MatMul(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(1);
-  Tensor a = Tensor::RandomNormal(Shape({n, n}), rng);
-  Tensor b = Tensor::RandomNormal(Shape({n, n}), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128)->Arg(512);
-
-void BM_BatchMatMul(benchmark::State& state) {
-  Rng rng(2);
-  Tensor a = Tensor::RandomNormal(Shape({64, 16, 16}), rng);
-  Tensor b = Tensor::RandomNormal(Shape({64, 16, 16}), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BatchMatMul(a, b));
-  }
-}
-BENCHMARK(BM_BatchMatMul);
-
-void BM_SoftmaxLastDim(benchmark::State& state) {
-  Rng rng(3);
-  Tensor a = Tensor::RandomNormal(Shape({16, 16, 16, 7}), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SoftmaxLastDim(a));
-  }
-}
-BENCHMARK(BM_SoftmaxLastDim);
-
-void BM_ChebConvForward(benchmark::State& state) {
-  Rng rng(4);
-  nn::ChebConv conv(SweepLaplacian(4, 4), 7, 8, 3, rng);
-  Tensor x = Tensor::RandomNormal(Shape({64, 16, 7}), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.Forward(ag::Var::Constant(x)).value());
-  }
-}
-BENCHMARK(BM_ChebConvForward);
-
-void BM_GruStep(benchmark::State& state) {
-  Rng rng(5);
-  nn::GruCell cell(32, 32, rng);
-  ag::Var x = ag::Var::Constant(Tensor::RandomNormal(Shape({16, 32}), rng));
-  ag::Var h = cell.InitialState(16);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.Step(x, h).value());
-  }
-}
-BENCHMARK(BM_GruStep);
-
-void BM_GcGruStep(benchmark::State& state) {
-  Rng rng(6);
-  nn::GcGruCell cell(SweepLaplacian(4, 4), 28, 16, 3, rng);
-  ag::Var x =
-      ag::Var::Constant(Tensor::RandomNormal(Shape({8, 16, 28}), rng));
-  ag::Var h = cell.InitialState(8);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cell.Step(x, h).value());
-  }
-}
-BENCHMARK(BM_GcGruStep);
-
-struct AfFixture {
-  DatasetSpec spec = MakeNycLike(4, 4, 2, 60);
-  OdTensorSeries series;
-  ForecastDataset dataset;
-  AdvancedFramework model;
-  nn::Adam optimizer;
-
-  AfFixture()
-      : series(BuildSeries()),
-        dataset(&series, 3, 1),
-        model(spec.graph, spec.graph, 7, 1, {}),
-        optimizer(model.Parameters(), 1e-3f) {}
-
-  OdTensorSeries BuildSeries() {
-    TripGenerator gen(spec.graph, spec.config);
-    return BuildOdTensorSeries(gen.Generate(),
-                               TimePartition(60, 2), 16, 16,
-                               SpeedHistogramSpec::Paper());
-  }
-};
-
-void BM_AdvancedFrameworkTrainStep(benchmark::State& state) {
-  AfFixture fixture;
-  Batch batch = fixture.dataset.MakeBatch({0, 1, 2, 3, 4, 5, 6, 7});
-  Rng rng(7);
-  for (auto _ : state) {
-    fixture.optimizer.ZeroGrad();
-    ag::Var loss = fixture.model.Loss(batch, /*train=*/true, rng);
-    loss.Backward();
-    fixture.optimizer.Step();
-    benchmark::DoNotOptimize(loss.value().Item());
-  }
-}
-BENCHMARK(BM_AdvancedFrameworkTrainStep);
-
-void BM_AdvancedFrameworkPredict(benchmark::State& state) {
-  AfFixture fixture;
-  Batch batch = fixture.dataset.MakeBatch({0, 1, 2, 3, 4, 5, 6, 7});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fixture.model.Predict(batch));
-  }
-}
-BENCHMARK(BM_AdvancedFrameworkPredict);
-
-void BM_TripGeneration(benchmark::State& state) {
-  DatasetSpec spec = MakeNycLike(4, 4, 2, 60);
-  for (auto _ : state) {
-    TripGenerator gen(spec.graph, spec.config);
-    benchmark::DoNotOptimize(gen.Generate());
-  }
-}
-BENCHMARK(BM_TripGeneration);
-
 }  // namespace
 }  // namespace odf
 
 int main(int argc, char** argv) {
   // --trace[=path]: capture every benchmarked kernel as a Chrome-trace span
-  // set (load the file in chrome://tracing or ui.perfetto.dev). Filtered out
-  // before google-benchmark sees the arguments.
+  // set (load the file in chrome://tracing or ui.perfetto.dev).
   std::string trace_path;
-  int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trace") {
       trace_path = "BENCH_trace.json";
     } else if (arg.rfind("--trace=", 0) == 0) {
       trace_path = arg.substr(std::string("--trace=").size());
-    } else {
-      argv[kept++] = argv[i];
     }
   }
-  argc = kept;
   if (!trace_path.empty() && !odf::TraceEnabled()) {
     odf::Tracer::Global().Start(trace_path);
   }
 
-  int rc = 0;
-  if (odf::GetEnvBool("ODF_GBENCH", false)) {
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-  } else {
-    const int substrate_rc = odf::RunSubstrateSweep();
-    const int graph_rc = odf::RunGraphSweep();
-    rc = substrate_rc != 0 ? substrate_rc : graph_rc;
-  }
+  const int substrate_rc = odf::RunSubstrateSweep();
+  const int graph_rc = odf::RunGraphSweep();
+  const int rc = substrate_rc != 0 ? substrate_rc : graph_rc;
   if (!trace_path.empty() && odf::Tracer::Global().Stop()) {
     std::printf("trace written to %s\n", trace_path.c_str());
   }

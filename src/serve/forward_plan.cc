@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "nn/attention.h"
@@ -10,7 +11,6 @@
 #include "nn/gcgru.h"
 #include "nn/gru.h"
 #include "nn/linear.h"
-#include "tensor/fast_math.h"
 #include "tensor/tensor_ops.h"
 
 namespace odf::serve {
@@ -29,15 +29,14 @@ void PrepareShape(Tensor* t, const BufShape& spec, int64_t batch) {
   if (!same) *t = std::move(*t).Reshape(spec.Dims(batch));
 }
 
-// -- fp64 plan glue (Exec64) -----------------------------------------------
+// -- Plan glue shared by both widths ---------------------------------------
 //
 // Shapes come from the float metadata tensors (PrepareShape keeps them in
-// lock-step with the schedule); payloads live in the double arena. The glue
-// helpers below are deliberately serial: they move little data, and serial
-// loops are thread-invariant by construction. The hot kernels — GEMM, SpMM,
-// wide Chebyshev basis, softmax, fused recover — run the same parallel
-// width-templated code as the fp32 plan, whose per-element accumulation
-// order is fixed at every thread count, so the whole fp64 plan is
+// lock-step with the schedule); payloads live in the plan's own-width
+// arena. The glue helpers below are deliberately serial: they move little
+// data, and serial loops are thread-invariant by construction. The hot
+// kernels run width-templated parallel code whose per-element accumulation
+// order is fixed at every thread count, so both plan widths are
 // bit-identical across ODF_THREADS settings.
 
 /// Permutes `src` (row-major, dims `in_dims`) by `perm` into `dst`, widening
@@ -140,29 +139,6 @@ void BroadcastBinaryRaw(const T* pa, const Tensor& am, const T* pb,
   }
 }
 
-/// Concat along `axis`; per-part shapes come from the float metadata.
-void ConcatRaw64(const double* const* parts, const Tensor* const* metas,
-                 size_t count, int64_t axis, double* po) {
-  const Tensor& first = *metas[0];
-  if (axis < 0) axis += first.rank();
-  int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= first.dim(d);
-  int64_t inner = 1;
-  for (int64_t d = axis + 1; d < first.rank(); ++d) inner *= first.dim(d);
-  int64_t concat_dim = 0;
-  for (size_t p = 0; p < count; ++p) concat_dim += metas[p]->dim(axis);
-  const int64_t out_row = concat_dim * inner;
-  int64_t dest_offset = 0;
-  for (size_t p = 0; p < count; ++p) {
-    const int64_t p_row = metas[p]->dim(axis) * inner;
-    for (int64_t o = 0; o < outer; ++o) {
-      const double* src = parts[p] + o * p_row;
-      std::copy(src, src + p_row, po + o * out_row + dest_offset);
-    }
-    dest_offset += p_row;
-  }
-}
-
 template <typename T>
 void SliceRaw(const T* pa, const Tensor& am, int64_t axis,
               int64_t start, int64_t len, T* po) {
@@ -176,25 +152,6 @@ void SliceRaw(const T* pa, const Tensor& am, int64_t axis,
   for (int64_t o = 0; o < outer; ++o) {
     const T* src = pa + o * src_row + start * inner;
     std::copy(src, src + dst_row, po + o * dst_row);
-  }
-}
-
-/// Sum over `axis` with keepdim, ascending accumulation like SumInto.
-void SumKeepRaw64(const double* pa, const Tensor& am, int64_t axis,
-                  double* po) {
-  if (axis < 0) axis += am.rank();
-  int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= am.dim(d);
-  const int64_t mid = am.dim(axis);
-  int64_t inner = 1;
-  for (int64_t d = axis + 1; d < am.rank(); ++d) inner *= am.dim(d);
-  std::fill(po, po + outer * inner, 0.0);
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t m = 0; m < mid; ++m) {
-      const double* src = pa + (o * mid + m) * inner;
-      double* dst = po + o * inner;
-      for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
-    }
   }
 }
 
@@ -330,205 +287,60 @@ void ForwardPlan::EnsureBatch(int64_t batch) {
   }
 }
 
-void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
-  Tensor& out = bufs_[static_cast<size_t>(ins.out)];
-  PrepareShape(&out, ins.shape, batch_);
-  switch (ins.kind) {
-    case OpKind::kLoadInput: {
-      const Tensor& in = inputs[static_cast<size_t>(ins.input_index)];
-      std::copy(in.data(), in.data() + in.numel(),
-                out.data() + ins.start * batch_);
-      break;
-    }
-    case OpKind::kLoadInputPermuted: {
-      const Tensor& in = inputs[static_cast<size_t>(ins.input_index)];
-      PermuteRaw(in.data(), in.shape().dims(), ins.perm, out.data());
-      break;
-    }
-    case OpKind::kReshape:
-      break;  // PrepareShape did the work
-    case OpKind::kCopy: {
-      const Tensor& a = bufs_[static_cast<size_t>(ins.a)];
-      std::copy(a.data(), a.data() + a.numel(), out.data());
-      break;
-    }
-    case OpKind::kSliceRows: {
-      const float* src =
-          bufs_[static_cast<size_t>(ins.a)].data() + ins.start * batch_;
-      std::copy(src, src + out.numel(), out.data());
-      break;
-    }
-    case OpKind::kStackRows: {
-      const Tensor& a = bufs_[static_cast<size_t>(ins.a)];
-      std::copy(a.data(), a.data() + a.numel(),
-                out.data() + ins.start * batch_);
-      break;
-    }
-    case OpKind::kZero:
-      std::fill(out.data(), out.data() + out.numel(), 0.0f);
-      break;
-    case OpKind::kAdd: {
-      const Tensor& a = bufs_[static_cast<size_t>(ins.a)];
-      const Tensor& b = bufs_[static_cast<size_t>(ins.b)];
-      BroadcastBinaryRaw(a.data(), a, b.data(), b, out.data(), out,
-                         [](float x, float y) { return x + y; });
-      break;
-    }
-    case OpKind::kMul: {
-      const Tensor& a = bufs_[static_cast<size_t>(ins.a)];
-      const Tensor& b = bufs_[static_cast<size_t>(ins.b)];
-      BroadcastBinaryRaw(a.data(), a, b.data(), b, out.data(), out,
-                         [](float x, float y) { return x * y; });
-      break;
-    }
-    case OpKind::kAddBiasW: {
-      // Bias broadcast over the last axis, written as the plain 2-D loop:
-      // per element the identical single addition AddInto performs, minus
-      // its shape machinery (biases are rank-1; asserted at compile).
-      const Tensor& a = bufs_[static_cast<size_t>(ins.a)];
-      const Tensor& bias = weights_[static_cast<size_t>(ins.w)];
-      const int64_t cols = bias.numel();
-      const int64_t rows = a.numel() / cols;
-      const float* ap = a.data();
-      const float* bp = bias.data();
-      float* op = out.data();
-      for (int64_t r = 0; r < rows; ++r, ap += cols, op += cols) {
-        for (int64_t j = 0; j < cols; ++j) op[j] = ap[j] + bp[j];
-      }
-      break;
-    }
-    case OpKind::kAddScalar: {
-      const float* ap = bufs_[static_cast<size_t>(ins.a)].data();
-      const int64_t numel = out.numel();
-      float* po = out.data();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] + ins.scalar;
-      break;
-    }
-    case OpKind::kMulScalar: {
-      const float* ap = bufs_[static_cast<size_t>(ins.a)].data();
-      const int64_t numel = out.numel();
-      float* po = out.data();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] * ins.scalar;
-      break;
-    }
-    case OpKind::kSigmoid:
-      SigmoidInto(bufs_[static_cast<size_t>(ins.a)], &out);
-      break;
-    case OpKind::kTanh:
-      TanhInto(bufs_[static_cast<size_t>(ins.a)], &out);
-      break;
-    case OpKind::kRelu:
-      ReluInto(bufs_[static_cast<size_t>(ins.a)], &out);
-      break;
-    case OpKind::kMatMulW:
-      if (ins.prepacked) {
-        MatMulPrepackedInto(bufs_[static_cast<size_t>(ins.a)],
-                            packed_[static_cast<size_t>(ins.w)], &out);
-      } else {
-        MatMulInto(bufs_[static_cast<size_t>(ins.a)],
-                   weights_[static_cast<size_t>(ins.w)], &out);
-      }
-      break;
-    case OpKind::kBatchMatMulW:
-      if (ins.prepacked) {
-        // [B', r, k] x [k, n] flattens to one [B'·r, k] x [k, n] product —
-        // each output row accumulates the same k-ascending sum either way.
-        MatMulPrepackedInto(bufs_[static_cast<size_t>(ins.a)],
-                            packed_[static_cast<size_t>(ins.w)], &out);
-      } else {
-        BatchMatMulInto(bufs_[static_cast<size_t>(ins.a)],
-                        weights_[static_cast<size_t>(ins.w)], &out);
-      }
-      break;
-    case OpKind::kConcat2: {
-      const Tensor* parts[2] = {&bufs_[static_cast<size_t>(ins.a)],
-                                &bufs_[static_cast<size_t>(ins.b)]};
-      ConcatInto(parts, 2, ins.axis, &out);
-      break;
-    }
-    case OpKind::kConcatN: {
-      concat_scratch_.clear();
-      for (int32_t src : ins.srcs) {
-        concat_scratch_.push_back(&bufs_[static_cast<size_t>(src)]);
-      }
-      ConcatInto(concat_scratch_.data(), concat_scratch_.size(), ins.axis,
-                 &out);
-      break;
-    }
-    case OpKind::kSlice: {
-      const Tensor& a = bufs_[static_cast<size_t>(ins.a)];
-      SliceRaw(a.data(), a, ins.axis, ins.start, ins.len, out.data());
-      break;
-    }
-    case OpKind::kSumKeep:
-      SumInto(bufs_[static_cast<size_t>(ins.a)], ins.axis, /*keepdim=*/true,
-              &out);
-      break;
-    case OpKind::kSoftmax:
-      SoftmaxLastDimInto(bufs_[static_cast<size_t>(ins.a)], &out);
-      break;
-    case OpKind::kPermute: {
-      const Tensor& a = bufs_[static_cast<size_t>(ins.a)];
-      PermuteRaw(a.data(), a.shape().dims(), ins.perm, out.data());
-      break;
-    }
-    case OpKind::kChebBasis: {
-      // Same raw kernel the facade wraps; the compiler already sized every
-      // buffer, so the facade's per-call Shape construction is skipped.
-      const Tensor& x = bufs_[static_cast<size_t>(ins.a)];
-      const CsrMatrix& csr = ins.graph->csr();
-      ChebyshevBasisWideRaw(
-          ins.graph->use_sparse() ? nullptr : ins.graph->dense().data(),
-          csr.row_ptr().data(), csr.col_idx().data(), csr.values().data(),
-          csr.nnz(), x.dim(1), x.data(), x.dim(0), x.dim(2), ins.order,
-          out.data(), bufs_[static_cast<size_t>(ins.srcs[0])].data(),
-          bufs_[static_cast<size_t>(ins.srcs[1])].data(),
-          bufs_[static_cast<size_t>(ins.srcs[2])].data());
-      break;
-    }
-    case OpKind::kGraphApply: {
-      // The same kernels ag::SpMM's forward dispatches to (tiled CSR SpMM /
-      // batched blocked GEMM), so the diffusion and adaptive tap chains
-      // match the tape bit for bit.
-      GraphApplyInto(*ins.graph, bufs_[static_cast<size_t>(ins.a)], &out);
-      break;
-    }
-    case OpKind::kGraphPool: {
-      const Tensor& x = bufs_[static_cast<size_t>(ins.a)];
-      GraphPoolRaw(x.data(), x.dim(0), x.dim(1), x.dim(2), *ins.clusters,
-                   ins.pool, out.data());
-      break;
-    }
-    case OpKind::kRecover: {
-      const Tensor& r = bufs_[static_cast<size_t>(ins.a)];  // [B, n, beta, k]
-      FusedRecoverRaw(r.data(), bufs_[static_cast<size_t>(ins.b)].data(),
-                      weights_[static_cast<size_t>(ins.w)][0], out.data(),
-                      out.dim(0), out.dim(1), out.dim(2), r.dim(2),
-                      out.dim(3));
-      break;
-    }
+template <typename T>
+T* ForwardPlan::Data(int32_t buf) {
+  if constexpr (std::is_same_v<T, double>) {
+    return dbufs_[static_cast<size_t>(buf)].data();
+  } else {
+    return bufs_[static_cast<size_t>(buf)].data();
   }
 }
 
-void ForwardPlan::Exec64(const Instr& ins, const std::vector<Tensor>& inputs) {
-  // The float buffer tracks the instruction's output view so operand shapes
-  // stay in lock-step with Exec's schedule; its payload is never touched.
+template <typename T>
+const T* ForwardPlan::Weight(int32_t w) const {
+  if constexpr (std::is_same_v<T, double>) {
+    return dweights_[static_cast<size_t>(w)].data();
+  } else {
+    return weights_[static_cast<size_t>(w)].data();
+  }
+}
+
+template <typename T>
+const PackedGemmBT<T>& ForwardPlan::Packed(int32_t w) const {
+  if constexpr (std::is_same_v<T, double>) {
+    return dpacked_[static_cast<size_t>(w)];
+  } else {
+    return packed_[static_cast<size_t>(w)];
+  }
+}
+
+template <typename T>
+ForwardPlan::GraphArrays<T> ForwardPlan::Graph(const Instr& ins) const {
+  if constexpr (std::is_same_v<T, double>) {
+    const GraphData64& g = graph64_[static_cast<size_t>(ins.graph64)];
+    return {g.dense.empty() ? nullptr : g.dense.data(), g.csr_values.data()};
+  } else {
+    return {ins.graph->use_sparse() ? nullptr : ins.graph->dense().data(),
+            ins.graph->csr().values().data()};
+  }
+}
+
+template <typename T>
+void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
+  // The float buffers carry every shape at both widths; at fp64 their
+  // payloads are never read or written.
   Tensor& out = bufs_[static_cast<size_t>(ins.out)];
   PrepareShape(&out, ins.shape, batch_);
-  double* po = dbufs_[static_cast<size_t>(ins.out)].data();
-  const auto dat = [&](int32_t id) -> const double* {
-    return dbufs_[static_cast<size_t>(id)].data();
-  };
+  T* po = Data<T>(ins.out);
   const auto meta = [&](int32_t id) -> const Tensor& {
     return bufs_[static_cast<size_t>(id)];
   };
+  const auto src = [&](int32_t id) -> const T* { return Data<T>(id); };
   switch (ins.kind) {
     case OpKind::kLoadInput: {
+      // fp64 plans widen their inputs here and in kLoadInputPermuted.
       const Tensor& in = inputs[static_cast<size_t>(ins.input_index)];
-      const float* src = in.data();
-      double* dst = po + ins.start * batch_;
-      const int64_t numel = in.numel();
-      for (int64_t i = 0; i < numel; ++i) dst[i] = static_cast<double>(src[i]);
+      std::copy(in.data(), in.data() + in.numel(), po + ins.start * batch_);
       break;
     }
     case OpKind::kLoadInputPermuted: {
@@ -538,176 +350,146 @@ void ForwardPlan::Exec64(const Instr& ins, const std::vector<Tensor>& inputs) {
     }
     case OpKind::kReshape:
       break;  // PrepareShape did the work
-    case OpKind::kCopy: {
-      const double* src = dat(ins.a);
-      std::copy(src, src + meta(ins.a).numel(), po);
+    case OpKind::kCopy:
+      std::copy(src(ins.a), src(ins.a) + meta(ins.a).numel(), po);
       break;
-    }
     case OpKind::kSliceRows: {
-      const double* src = dat(ins.a) + ins.start * batch_;
-      std::copy(src, src + out.numel(), po);
+      const T* rows = src(ins.a) + ins.start * batch_;
+      std::copy(rows, rows + out.numel(), po);
       break;
     }
-    case OpKind::kStackRows: {
-      const double* src = dat(ins.a);
-      std::copy(src, src + meta(ins.a).numel(), po + ins.start * batch_);
+    case OpKind::kStackRows:
+      std::copy(src(ins.a), src(ins.a) + meta(ins.a).numel(),
+                po + ins.start * batch_);
       break;
-    }
     case OpKind::kZero:
-      std::fill(po, po + out.numel(), 0.0);
+      std::fill(po, po + out.numel(), T(0));
       break;
     case OpKind::kAdd:
-      BroadcastBinaryRaw(dat(ins.a), meta(ins.a), dat(ins.b), meta(ins.b),
-                         po, out, [](double x, double y) { return x + y; });
+      BroadcastBinaryRaw(src(ins.a), meta(ins.a), src(ins.b), meta(ins.b), po,
+                         out, [](T x, T y) { return x + y; });
       break;
     case OpKind::kMul:
-      BroadcastBinaryRaw(dat(ins.a), meta(ins.a), dat(ins.b), meta(ins.b),
-                         po, out, [](double x, double y) { return x * y; });
+      BroadcastBinaryRaw(src(ins.a), meta(ins.a), src(ins.b), meta(ins.b), po,
+                         out, [](T x, T y) { return x * y; });
       break;
     case OpKind::kAddBiasW: {
-      const std::vector<double>& bias = dweights_[static_cast<size_t>(ins.w)];
-      const int64_t cols = static_cast<int64_t>(bias.size());
+      // Bias broadcast over the last axis, written as the plain 2-D loop:
+      // per element the identical single addition AddInto performs, minus
+      // its shape machinery (biases are rank-1; asserted at compile).
+      const int64_t cols = weights_[static_cast<size_t>(ins.w)].numel();
       const int64_t rows = meta(ins.a).numel() / cols;
-      const double* ap = dat(ins.a);
-      const double* bp = bias.data();
-      double* op = po;
+      const T* ap = src(ins.a);
+      const T* bp = Weight<T>(ins.w);
+      T* op = po;
       for (int64_t r = 0; r < rows; ++r, ap += cols, op += cols) {
         for (int64_t j = 0; j < cols; ++j) op[j] = ap[j] + bp[j];
       }
       break;
     }
     case OpKind::kAddScalar: {
-      const double s = static_cast<double>(ins.scalar);
-      const double* ap = dat(ins.a);
+      const T s = static_cast<T>(ins.scalar);
+      const T* ap = src(ins.a);
       const int64_t numel = out.numel();
       for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] + s;
       break;
     }
     case OpKind::kMulScalar: {
-      const double s = static_cast<double>(ins.scalar);
-      const double* ap = dat(ins.a);
+      const T s = static_cast<T>(ins.scalar);
+      const T* ap = src(ins.a);
       const int64_t numel = out.numel();
       for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] * s;
       break;
     }
-    case OpKind::kSigmoid: {
-      const double* ap = dat(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = FastSigmoid(ap[i]);
+    case OpKind::kSigmoid:
+      SigmoidRaw(src(ins.a), po, out.numel());
       break;
-    }
-    case OpKind::kTanh: {
-      const double* ap = dat(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = FastTanh(ap[i]);
+    case OpKind::kTanh:
+      TanhRaw(src(ins.a), po, out.numel());
       break;
-    }
-    case OpKind::kRelu: {
-      const double* ap = dat(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] > 0 ? ap[i] : 0.0;
+    case OpKind::kRelu:
+      ReluRaw(src(ins.a), po, out.numel());
       break;
-    }
     case OpKind::kMatMulW:
-    case OpKind::kBatchMatMulW:
-      // Both flatten to one [rows, k] x [k, n] product over the double
-      // weight snapshot (the fp32 plan's batched case does the same).
+    case OpKind::kBatchMatMulW: {
+      const Tensor& a = meta(ins.a);
+      const Tensor& w = weights_[static_cast<size_t>(ins.w)];
       if (ins.prepacked) {
-        const PackedGemmB64& p = dpacked_[static_cast<size_t>(ins.w)];
-        MatMulPrepackedRaw(dat(ins.a), meta(ins.a).numel() / p.k, p, po);
+        // [B', r, k] x [k, n] flattens to one [B'·r, k] x [k, n] product —
+        // each output row accumulates the same k-ascending sum either way.
+        MatMulPrepackedRaw(src(ins.a), a.numel() / w.dim(0),
+                           Packed<T>(ins.w), po);
+      } else if (ins.kind == OpKind::kMatMulW) {
+        MatMulRaw(src(ins.a), Weight<T>(ins.w), po, a.dim(0), w.dim(0),
+                  w.dim(1));
       } else {
-        const Tensor& w = weights_[static_cast<size_t>(ins.w)];
-        ODF_CHECK_EQ(w.rank(), 2);
-        const int64_t k = w.dim(0);
-        const int64_t n = w.dim(1);
-        const int64_t rows = meta(ins.a).numel() / k;
-        // GemmRawInto accumulates; start from zero like a fresh Tensor.
-        std::fill(po, po + rows * n, 0.0);
-        GemmRawInto(dat(ins.a), dweights_[static_cast<size_t>(ins.w)].data(),
-                    po, rows, k, n);
+        BatchMatMulRaw(src(ins.a), a.dim(1) * a.dim(2), Weight<T>(ins.w), 0,
+                       po, a.dim(0), a.dim(1), w.dim(0), w.dim(1));
       }
-      break;
-    case OpKind::kConcat2: {
-      const double* parts[2] = {dat(ins.a), dat(ins.b)};
-      const Tensor* metas[2] = {&meta(ins.a), &meta(ins.b)};
-      ConcatRaw64(parts, metas, 2, ins.axis, po);
       break;
     }
+    case OpKind::kConcat2:
     case OpKind::kConcatN: {
-      std::vector<const double*> parts;
-      std::vector<const Tensor*> metas;
-      parts.reserve(ins.srcs.size());
-      metas.reserve(ins.srcs.size());
-      for (int32_t src : ins.srcs) {
-        parts.push_back(dat(src));
-        metas.push_back(&meta(src));
+      const int32_t pair[2] = {ins.a, ins.b};
+      const bool two = ins.kind == OpKind::kConcat2;
+      const int32_t* ids = two ? pair : ins.srcs.data();
+      const size_t count = two ? 2 : ins.srcs.size();
+      concat_scratch_.clear();
+      for (size_t p = 0; p < count; ++p) {
+        concat_scratch_.push_back(&meta(ids[p]));
       }
-      ConcatRaw64(parts.data(), metas.data(), parts.size(), ins.axis, po);
+      ConcatRaw(
+          concat_scratch_.data(), count, ins.axis,
+          [&](size_t p) { return src(ids[p]); }, po);
       break;
     }
     case OpKind::kSlice:
-      SliceRaw(dat(ins.a), meta(ins.a), ins.axis, ins.start, ins.len, po);
+      SliceRaw(src(ins.a), meta(ins.a), ins.axis, ins.start, ins.len, po);
       break;
     case OpKind::kSumKeep:
-      SumKeepRaw64(dat(ins.a), meta(ins.a), ins.axis, po);
+      SumRaw(src(ins.a), meta(ins.a).shape(), ins.axis, po);
       break;
     case OpKind::kSoftmax: {
       const Tensor& a = meta(ins.a);
       const int64_t inner = a.dim(-1);
-      SoftmaxRowsRaw(dat(ins.a), po, a.numel() / inner, inner);
+      SoftmaxRowsRaw(src(ins.a), po, a.numel() / inner, inner);
       break;
     }
     case OpKind::kPermute:
-      PermuteRaw(dat(ins.a), meta(ins.a).shape().dims(), ins.perm, po);
+      PermuteRaw(src(ins.a), meta(ins.a).shape().dims(), ins.perm, po);
       break;
-    case OpKind::kChebBasis: {
-      const GraphData64* g = nullptr;
-      for (const GraphData64& cand : graph64_) {
-        if (cand.op == ins.graph.get()) {
-          g = &cand;
-          break;
-        }
-      }
-      ODF_CHECK(g != nullptr) << "fp64 plan missing graph snapshot";
-      const Tensor& x = meta(ins.a);
-      const CsrMatrix& csr = ins.graph->csr();
-      ChebyshevBasisWideRaw(
-          g->dense.empty() ? nullptr : g->dense.data(), csr.row_ptr().data(),
-          csr.col_idx().data(), g->csr_values.data(), csr.nnz(), x.dim(1),
-          dat(ins.a), x.dim(0), x.dim(2), ins.order, po,
-          dbufs_[static_cast<size_t>(ins.srcs[0])].data(),
-          dbufs_[static_cast<size_t>(ins.srcs[1])].data(),
-          dbufs_[static_cast<size_t>(ins.srcs[2])].data());
-      break;
-    }
+    case OpKind::kChebBasis:
     case OpKind::kGraphApply: {
-      const GraphData64* g = nullptr;
-      for (const GraphData64& cand : graph64_) {
-        if (cand.op == ins.graph.get()) {
-          g = &cand;
-          break;
-        }
-      }
-      ODF_CHECK(g != nullptr) << "fp64 plan missing graph snapshot";
+      // The same kernels the tape's ChebyshevStack / ag::SpMM dispatch to
+      // (wide-layout CSR SpMM or blocked GEMM), so every tap matches the
+      // tape bit for bit at fp32.
       const Tensor& x = meta(ins.a);
       const CsrMatrix& csr = ins.graph->csr();
-      GraphApplyRaw64(g->dense.empty() ? nullptr : g->dense.data(),
-                      csr.row_ptr().data(), csr.col_idx().data(),
-                      g->csr_values.data(), csr.nnz(), x.dim(1), dat(ins.a),
-                      x.dim(0), x.dim(2), po);
+      const GraphArrays<T> g = Graph<T>(ins);
+      if (ins.kind == OpKind::kChebBasis) {
+        ChebyshevBasisWideRaw(g.dense, csr.row_ptr().data(),
+                              csr.col_idx().data(), g.values, csr.nnz(),
+                              x.dim(1), src(ins.a), x.dim(0), x.dim(2),
+                              ins.order, po, Data<T>(ins.srcs[0]),
+                              Data<T>(ins.srcs[1]), Data<T>(ins.srcs[2]));
+      } else {
+        GraphApplyRaw(g.dense, csr.row_ptr().data(), csr.col_idx().data(),
+                      g.values, csr.nnz(), x.dim(1), src(ins.a), x.dim(0),
+                      x.dim(2), po);
+      }
       break;
     }
     case OpKind::kGraphPool: {
       const Tensor& x = meta(ins.a);
-      GraphPoolRaw(dat(ins.a), x.dim(0), x.dim(1), x.dim(2), *ins.clusters,
+      GraphPoolRaw(src(ins.a), x.dim(0), x.dim(1), x.dim(2), *ins.clusters,
                    ins.pool, po);
       break;
     }
     case OpKind::kRecover: {
       const Tensor& r = meta(ins.a);  // [B, n, beta, k]
-      FusedRecoverRaw(dat(ins.a), dat(ins.b),
-                      dweights_[static_cast<size_t>(ins.w)][0], po, out.dim(0),
-                      out.dim(1), out.dim(2), r.dim(2), out.dim(3));
+      FusedRecoverRaw(src(ins.a), src(ins.b), Weight<T>(ins.w)[0], po,
+                      out.dim(0), out.dim(1), out.dim(2), r.dim(2),
+                      out.dim(3));
       break;
     }
   }
@@ -718,10 +500,7 @@ void ForwardPlan::LowerToFp64() {
   dweights_.clear();
   dweights_.reserve(weights_.size());
   for (const Tensor& w : weights_) {
-    std::vector<double> dw(static_cast<size_t>(w.numel()));
-    const float* p = w.data();
-    for (int64_t i = 0; i < w.numel(); ++i) dw[static_cast<size_t>(i)] = p[i];
-    dweights_.push_back(std::move(dw));
+    dweights_.emplace_back(w.data(), w.data() + w.numel());
   }
   dpacked_.clear();
   dpacked_.resize(packed_.size());
@@ -734,19 +513,20 @@ void ForwardPlan::LowerToFp64() {
   graph64_.reserve(graph_ops_.size());
   for (const auto& op : graph_ops_) {
     GraphData64 g;
-    g.op = op.get();
     if (op->use_sparse()) {
       const std::vector<float>& v = op->csr().values();
       g.csr_values.assign(v.begin(), v.end());
     } else {
       const Tensor& d = op->dense();
-      g.dense.resize(static_cast<size_t>(d.numel()));
-      const float* p = d.data();
-      for (int64_t i = 0; i < d.numel(); ++i) {
-        g.dense[static_cast<size_t>(i)] = p[i];
-      }
+      g.dense.assign(d.data(), d.data() + d.numel());
     }
     graph64_.push_back(std::move(g));
+  }
+  for (Instr& ins : instrs_) {
+    if (ins.graph == nullptr) continue;
+    const auto it = std::find(graph_ops_.begin(), graph_ops_.end(), ins.graph);
+    ODF_CHECK(it != graph_ops_.end()) << "fp64 plan missing graph snapshot";
+    ins.graph64 = static_cast<int32_t>(it - graph_ops_.begin());
   }
   batch_ = -1;  // force the next Run to allocate the double arena
 }
@@ -775,16 +555,12 @@ void ForwardPlan::Run(const std::vector<Tensor>& inputs) {
     runs.Add(1);
   }
   const bool fp64 = precision_ == Precision::kFp64;
+  const auto exec =
+      fp64 ? &ForwardPlan::Exec<double> : &ForwardPlan::Exec<float>;
   for (const Phase& phase : phases_) {
     const uint64_t start = metrics ? MonotonicNanos() : 0;
-    if (fp64) {
-      for (size_t i = phase.begin; i < phase.end; ++i) {
-        Exec64(instrs_[i], inputs);
-      }
-    } else {
-      for (size_t i = phase.begin; i < phase.end; ++i) {
-        Exec(instrs_[i], inputs);
-      }
+    for (size_t i = phase.begin; i < phase.end; ++i) {
+      (this->*exec)(instrs_[i], inputs);
     }
     if (metrics && phase.hist != nullptr) {
       phase.hist->Record(MonotonicNanos() - start);

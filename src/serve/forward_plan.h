@@ -27,13 +27,13 @@ namespace odf::serve {
 /// Buffers are allocated once per batch size and reused across calls.
 ///
 /// Bit-identity: every instruction either calls the exact `odf::` tensor
-/// kernel (via its `*Into` variant) that the corresponding `ag::` op calls
-/// on the tape, or a re-layouted serving kernel (wide Chebyshev basis,
-/// prepacked GEMM, time-batched branch evaluation) that performs the
-/// identical per-element accumulation — same terms, same ascending order,
-/// same FP contraction — so `Run` reproduces `Predict` bit-for-bit at any
-/// thread count (tests/serving_test.cc asserts this on trained
-/// checkpoints).
+/// kernel core (its width-templated `*Raw` function) that the
+/// corresponding `ag::` op runs on the tape, or a re-layouted serving
+/// kernel (wide Chebyshev basis, prepacked GEMM, time-batched branch
+/// evaluation) that performs the identical per-element accumulation — same
+/// terms, same ascending order, same FP contraction — so `Run` reproduces
+/// `Predict` bit-for-bit at any thread count (tests/serving_test.cc asserts
+/// this on trained checkpoints).
 ///
 /// The plan snapshots the model's parameter tensors at compile time (the
 /// prepacked weight panels are derived from them, so post-compile weight
@@ -47,16 +47,16 @@ namespace odf::serve {
 /// Arithmetic width a compiled plan executes at (docs/serving.md
 /// "Precision").
 ///
-/// `kFp32` is the substrate width: every instruction calls the exact float
-/// kernel the tape calls, so Run reproduces Predict bit-for-bit — this is
-/// the default serving mode and the only one under the bit-identity
-/// contract. `kFp64` is the widened reference plan: weights, prepacked
-/// panels, graph operators and the whole arena are snapshotted into double
-/// buffers at compile time, and Run replays the same schedule through the
-/// double instantiations of the width-templated kernels (GEMM, SpMM, wide
-/// Chebyshev, softmax, fused recover) with inputs widened once at plan
-/// entry and outputs narrowed once at exit — no per-call conversions. Its
-/// role is accuracy arbitration: the serve-time gate and
+/// Both widths run the same schedule through one interpreter,
+/// `ForwardPlan::Exec<T>`, instantiated at float and double; every
+/// instruction calls one width-templated kernel. `kFp32` is the substrate
+/// width: each kernel is the exact float core the tape calls, so Run
+/// reproduces Predict bit-for-bit — this is the default serving mode and the
+/// only one under the bit-identity contract. `kFp64` is the widened
+/// reference plan: weights, prepacked panels, graph operators and the whole
+/// arena are snapshotted into double buffers at compile time, inputs widen
+/// once at plan entry and outputs narrow once at exit — no per-call
+/// conversions. Its role is accuracy arbitration: the serve-time gate and
 /// tests/serving_precision_test.cc measure the fp32 plan's KL/JS/EMD
 /// deltas against it, and bench_serving's --precision sweep reports the
 /// fp32-over-fp64 speedup (the fp64 kernels run at half the vector lanes
@@ -142,7 +142,8 @@ struct Instr {
   BufShape shape;
   std::vector<int64_t> perm;   // kLoadInputPermuted / kPermute
   std::vector<int32_t> srcs;   // kConcatN / kChebBasis wide scratch
-  std::shared_ptr<const GraphOperator> graph;                // kChebBasis
+  std::shared_ptr<const GraphOperator> graph;  // kChebBasis / kGraphApply
+  int32_t graph64 = -1;  // fp64 plans: graph's snapshot (set when lowered)
   const std::vector<std::vector<int64_t>>* clusters = nullptr;  // kGraphPool
   nn::PoolKind pool = nn::PoolKind::kAverage;                // kGraphPool
 };
@@ -190,17 +191,36 @@ class ForwardPlan {
   friend class PlanCompiler;
 
   void EnsureBatch(int64_t batch);
+  /// Replays one instruction at width T (float for fp32 plans, double for
+  /// fp64). Shapes always come from the float buffers — PrepareShape keeps
+  /// them in lock-step with the schedule at both widths — while payloads,
+  /// weights, panels and graph operands come from the width-T tables
+  /// through the accessors below.
+  template <typename T>
   void Exec(const Instr& ins, const std::vector<Tensor>& inputs);
-  /// Replays one instruction over the double arena (fp64 plans). The float
-  /// buffers still carry the shape metadata (PrepareShape is applied to
-  /// them exactly as in Exec; their payloads are never read or written), so
-  /// both widths share one schedule.
-  void Exec64(const Instr& ins, const std::vector<Tensor>& inputs);
-  /// Converts the compiled fp32 tables (weights, prepacked panels, graph
-  /// operators) into their double twins and flips the plan to kFp64.
-  /// Called once by PlanCompiler::Compile; the fp32 tables stay resident
-  /// for shape metadata.
+  /// Snapshots the compiled fp32 tables (weights, prepacked panels, graph
+  /// operators) into their double twins, points every graph instruction at
+  /// its snapshot, and flips the plan to kFp64. Called once by
+  /// PlanCompiler::Compile; the fp32 tables stay resident for shape
+  /// metadata.
   void LowerToFp64();
+
+  /// Graph operand of a kChebBasis / kGraphApply instruction at width T:
+  /// a non-null `dense` selects the dense path, otherwise the CSR values
+  /// (structure always comes from the operator itself).
+  template <typename T>
+  struct GraphArrays {
+    const T* dense;
+    const T* values;
+  };
+  template <typename T>
+  T* Data(int32_t buf);
+  template <typename T>
+  const T* Weight(int32_t w) const;
+  template <typename T>
+  const PackedGemmBT<T>& Packed(int32_t w) const;
+  template <typename T>
+  GraphArrays<T> Graph(const Instr& ins) const;
 
   struct Phase {
     const char* name = "";
@@ -214,7 +234,6 @@ class ForwardPlan {
   /// path. CSR structure (row_ptr/col_idx) is shared with the operator,
   /// which the plan keeps alive through graph_ops_.
   struct GraphData64 {
-    const GraphOperator* op = nullptr;
     std::vector<double> dense;
     std::vector<double> csr_values;
   };
@@ -230,7 +249,8 @@ class ForwardPlan {
   std::vector<const Tensor*> concat_scratch_;
 
   // fp64 twins (empty on fp32 plans): one double arena slab per buffer,
-  // double weight snapshots, double prepacked panels, graph snapshots.
+  // double weight snapshots, double prepacked panels, graph snapshots
+  // (graph64_[i] snapshots graph_ops_[i]).
   std::vector<std::vector<double>> dbufs_;
   std::vector<std::vector<double>> dweights_;
   std::vector<PackedGemmB64> dpacked_;

@@ -36,12 +36,12 @@ struct ServeMetrics {
       MetricsRegistry::Global().GetCounter("serve.precision_checks");
   Counter& precision_gate_rejects =
       MetricsRegistry::Global().GetCounter("serve.precision_gate_rejects");
-  Histogram& precision_kl =
-      MetricsRegistry::Global().GetHistogram("serve.precision_kl");
-  Histogram& precision_js =
-      MetricsRegistry::Global().GetHistogram("serve.precision_js");
-  Histogram& precision_emd =
-      MetricsRegistry::Global().GetHistogram("serve.precision_emd");
+  Gauge& precision_kl =
+      MetricsRegistry::Global().GetGauge("serve.precision_kl");
+  Gauge& precision_js =
+      MetricsRegistry::Global().GetGauge("serve.precision_js");
+  Gauge& precision_emd =
+      MetricsRegistry::Global().GetGauge("serve.precision_emd");
 };
 
 ServeMetrics& Metrics() {
@@ -241,6 +241,9 @@ void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
     other->Run(batch.inputs);
     bool reject = false;
     const int64_t k = fp32->output(0).dim(3);  // histogram buckets
+    double batch_kl = 0.0;
+    double batch_js = 0.0;
+    double batch_emd = 0.0;
     for (size_t row = 0; row < samples.size(); ++row) {
       double max_kl = 0.0;
       double max_js = 0.0;
@@ -258,14 +261,17 @@ void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
         }
       }
       Metrics().precision_checks.Add(1);
-      Metrics().precision_kl.Record(max_kl);
-      Metrics().precision_js.Record(max_js);
-      Metrics().precision_emd.Record(max_emd);
+      batch_kl = std::max(batch_kl, max_kl);
+      batch_js = std::max(batch_js, max_js);
+      batch_emd = std::max(batch_emd, max_emd);
       if (max_kl > kPrecisionKlTolerance || max_js > kPrecisionJsTolerance ||
           max_emd > kPrecisionEmdTolerance) {
         reject = true;
       }
     }
+    Metrics().precision_kl.Set(batch_kl);
+    Metrics().precision_js.Set(batch_js);
+    Metrics().precision_emd.Set(batch_emd);
     if (reject) {
       Metrics().precision_gate_rejects.Add(1);
       result_plan = fp64;

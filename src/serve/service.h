@@ -85,12 +85,12 @@ using ForecastResult = std::shared_ptr<const std::vector<Tensor>>;
 ///   counters   serve.requests, serve.batches, serve.cache_hits,
 ///              serve.cache_misses, serve.precision_checks,
 ///              serve.precision_gate_rejects
-///   gauge      serve.queue_depth (after each batch is cut)
+///   gauges     serve.queue_depth (after each batch is cut),
+///              serve.precision_kl / _js / _emd (largest per-query delta of
+///              the latest checked batch; dimensionless)
 ///   histograms serve.request_seconds, serve.cached_request_seconds,
 ///              serve.batch_forward_seconds, serve.batch_size (a count,
-///              not a duration), serve.precision_kl / _js / _emd (per-query
-///              max deltas; dimensionless), plus the plan's serve.plan.*
-///              family.
+///              not a duration), plus the plan's serve.plan.* family.
 ///
 /// The dataset must outlive the service (as must the model the plans were
 /// compiled from). All public methods are thread-safe.

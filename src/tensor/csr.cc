@@ -387,29 +387,6 @@ template void ChebyshevBasisWideRaw(const double*, const int64_t*,
                                     int64_t, double*, double*, double*,
                                     double*);
 
-void ChebyshevBasisWideInto(const GraphOperator& op, const Tensor& x,
-                            int64_t order, Tensor* out, Tensor* w0,
-                            Tensor* w1, Tensor* w2) {
-  ODF_CHECK_GT(order, 0);
-  ODF_CHECK_EQ(x.rank(), 3);
-  const int64_t batch = x.dim(0);
-  const int64_t n = x.dim(1);
-  const int64_t f = x.dim(2);
-  ODF_CHECK_EQ(n, op.nodes());
-  ODF_CHECK(out->shape() == Shape({batch, n, order * f}));
-  if (order > 1 && f > 0) {
-    ODF_CHECK_GE(w0->numel(), n * batch * f);
-    ODF_CHECK_GE(w1->numel(), n * batch * f);
-    ODF_CHECK_GE(w2->numel(), n * batch * f);
-  }
-  const CsrMatrix& a = op.csr();
-  ChebyshevBasisWideRaw(op.use_sparse() ? nullptr : op.dense().data(),
-                        a.row_ptr().data(), a.col_idx().data(),
-                        a.values().data(), a.nnz(), n, x.data(), batch, f,
-                        order, out->data(), w0->data(), w1->data(),
-                        w2->data());
-}
-
 Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x,
                       int64_t order) {
   ODF_CHECK_GT(order, 0);
@@ -497,40 +474,29 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
   return gx;
 }
 
-void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out) {
+template <typename T>
+void GraphApplyRaw(const T* dense, const int64_t* row_ptr,
+                   const int32_t* col_idx, const T* values, int64_t nnz,
+                   int64_t n, const T* x, int64_t batch, int64_t f, T* out) {
   ODF_TRACE_SCOPE("kernel/", "graph_apply", "kernel");
-  ODF_CHECK_EQ(x.rank(), 3);
-  const int64_t batch = x.dim(0);
-  const int64_t n = x.dim(1);
-  const int64_t f = x.dim(2);
-  ODF_CHECK_EQ(n, op.nodes());
-  ODF_CHECK(out->shape() == x.shape());
-  if (op.use_sparse()) {
-    // Serial dispatch: the compiled serving path runs whole plans on one
-    // thread. Chunking never changes per-element sums (ascending column
-    // order), so this matches the tape's parallel odf::SpMM bit for bit.
-    SpmmTiled<SpmmEpilogue::kStore, /*kSerial=*/true>(
-        op.csr(), batch, f, x.data(), f, nullptr, 0, out->data(), f);
-  } else {
-    BatchMatMulInto(op.dense(), x, out);
-  }
-}
-
-void GraphApplyRaw64(const double* dense, const int64_t* row_ptr,
-                     const int32_t* col_idx, const double* values, int64_t nnz,
-                     int64_t n, const double* x, int64_t batch, int64_t f,
-                     double* out) {
   if (dense != nullptr) {
-    std::fill(out, out + batch * n * f, 0.0);
-    for (int64_t b = 0; b < batch; ++b) {
-      GemmRawInto(dense, x + b * n * f, out + b * n * f, n, n, f);
-    }
+    BatchMatMulRaw(dense, 0, x, n * f, out, batch, n, n, f);
     return;
   }
+  // Serial dispatch: the compiled serving path runs whole plans on one
+  // thread. Chunking never changes per-element sums (ascending column
+  // order), so this matches the tape's parallel odf::SpMM bit for bit.
   SpmmTiledRaw<SpmmEpilogue::kStore, /*kSerial=*/true>(
       row_ptr, col_idx, values, n, n, nnz, batch, f, x, f,
-      static_cast<const double*>(nullptr), 0, out, f);
+      static_cast<const T*>(nullptr), 0, out, f);
 }
+
+template void GraphApplyRaw(const float*, const int64_t*, const int32_t*,
+                            const float*, int64_t, int64_t, const float*,
+                            int64_t, int64_t, float*);
+template void GraphApplyRaw(const double*, const int64_t*, const int32_t*,
+                            const double*, int64_t, int64_t, const double*,
+                            int64_t, int64_t, double*);
 
 std::shared_ptr<const GraphOperator> GraphOperator::Make(Tensor dense,
                                                          int force_sparse) {

@@ -77,31 +77,24 @@ void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
                         int64_t order, Tensor* out);
 
 /// ChebyshevBasis in node-major ("wide") layout for the compiled serving
-/// path. The taps are mathematically the recurrence above, but each
-/// L̂-product runs as ONE sparse × [n, B·F] product instead of B skinny
-/// [n, F] products: x is transposed so that batch and features fuse into one
-/// wide row, the register-tiled SpMM streams full tiles, and each tap is
-/// scattered back into `out` [B, n, order·F]. Per output element the
-/// accumulation is still a's row in ascending column order — the identical
-/// sum, term for term, as the narrow kernels — so results are bit-identical
-/// to ChebyshevBasisInto at every thread count (asserted by
-/// tests/serving_test.cc on trained checkpoints). `w0`/`w1`/`w2` are
-/// caller-owned scratch of at least B·n·F floats each (the serving arena);
-/// the kernel runs serially and allocates nothing.
-void ChebyshevBasisWideInto(const GraphOperator& op, const Tensor& x,
-                            int64_t order, Tensor* out, Tensor* w0,
-                            Tensor* w1, Tensor* w2);
-
-/// ChebyshevBasisWideInto over raw arrays at either scalar width — the core
-/// the float wrapper above delegates to, exposed so the precision-lowered
-/// serving plan (serve/forward_plan.h) can run the identical schedule over
-/// its own-width arenas. The graph operator arrives as a snapshot: a
-/// non-null `dense` ([n, n] row-major) selects the blocked-GEMM path,
-/// otherwise the CSR triple row_ptr/col_idx/values (`nnz` non-zeros, rows
-/// in ascending column order) drives the serial tiled SpMM. `x` is
-/// [batch, n, f] row-major, `out` [batch, n, order·f]; w0/w1/w2 are
-/// caller-owned scratch of at least batch·n·f elements each. Instantiated
-/// for float and double in csr.cc.
+/// path, over raw arrays at either scalar width. The taps are
+/// mathematically the recurrence above, but each L̂-product runs as ONE
+/// sparse × [n, B·F] product instead of B skinny [n, F] products: x is
+/// transposed so that batch and features fuse into one wide row, the
+/// register-tiled SpMM streams full tiles, and each tap is scattered back
+/// into `out` [B, n, order·F]. Per output element the accumulation is still
+/// a's row in ascending column order — the identical sum, term for term, as
+/// the narrow kernels — so the float instantiation is bit-identical to
+/// ChebyshevBasisInto at every thread count (asserted by
+/// tests/serving_test.cc on trained checkpoints).
+///
+/// The graph operator arrives as a snapshot: a non-null `dense` ([n, n]
+/// row-major) selects the blocked-GEMM path, otherwise the CSR triple
+/// row_ptr/col_idx/values (`nnz` non-zeros, rows in ascending column order)
+/// drives the serial tiled SpMM. `x` is [batch, n, f] row-major, `out`
+/// [batch, n, order·f]; w0/w1/w2 are caller-owned scratch of at least
+/// batch·n·f elements each (the serving arena). Runs serially and allocates
+/// nothing. Instantiated for float and double in csr.cc.
 template <typename T>
 void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
                            const int32_t* col_idx, const T* values,
@@ -114,23 +107,19 @@ void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
 Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
                           int64_t order);
 
-/// Single graph application op · x [B, n, F] into a preallocated [B, n, F]
-/// output — one polynomial tap of the compiled serving path (serve
-/// kGraphApply, used by the diffusion and adaptive bases). Runs the same
-/// per-element accumulation as ag::SpMM's forward (CSR tiled SpMM on the
-/// sparse path, batched blocked GEMM on the dense path), so results are
-/// bit-identical to the tape at every thread count.
-void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out);
-
-/// Double-width GraphApplyInto over raw arrays for fp64 serving plans. The
-/// operator arrives as a snapshot: a non-null `dense` ([n, n] row-major)
-/// selects the per-batch blocked-GEMM path, otherwise the CSR triple
-/// row_ptr/col_idx/values drives the serial tiled SpMM. `x` is
-/// [batch, n, f] row-major, `out` likewise.
-void GraphApplyRaw64(const double* dense, const int64_t* row_ptr,
-                     const int32_t* col_idx, const double* values, int64_t nnz,
-                     int64_t n, const double* x, int64_t batch, int64_t f,
-                     double* out);
+/// Single graph application out = op · x over raw arrays at either scalar
+/// width — one polynomial tap of the compiled serving path (serve
+/// kGraphApply, used by the diffusion and adaptive bases). The operator
+/// arrives as in ChebyshevBasisWideRaw: a non-null `dense` ([n, n]
+/// row-major) selects the batched blocked GEMM, otherwise the CSR triple
+/// row_ptr/col_idx/values drives the serial tiled SpMM. `x` and `out` are
+/// [batch, n, f] row-major. Runs the same per-element accumulation as
+/// ag::SpMM's forward, so the float instantiation is bit-identical to the
+/// tape at every thread count. Instantiated for float and double.
+template <typename T>
+void GraphApplyRaw(const T* dense, const int64_t* row_ptr,
+                   const int32_t* col_idx, const T* values, int64_t nnz,
+                   int64_t n, const T* x, int64_t batch, int64_t f, T* out);
 
 /// A constant square matrix operand — the scaled graph Laplacian L̂ — held
 /// in both dense and CSR form (plus both transposes) behind one shared

@@ -573,14 +573,6 @@ template void MatMulPrepackedRaw(const float*, int64_t,
 template void MatMulPrepackedRaw(const double*, int64_t,
                                  const PackedGemmBT<double>&, double*);
 
-void MatMulPrepackedInto(const Tensor& a, const PackedGemmB& b, Tensor* out) {
-  ODF_CHECK_EQ(a.numel() % b.k, 0);
-  const int64_t rows = a.numel() / b.k;
-  ODF_CHECK(PrepackedGemmViable(rows, b.k, b.n));
-  ODF_CHECK_EQ(out->numel(), rows * b.n);
-  MatMulPrepackedRaw(a.data(), rows, b, out->data());
-}
-
 namespace {
 
 // Iterates over a broadcast binary op. `out[i] = fn(a[ai], b[bi])` where the
@@ -660,14 +652,19 @@ Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fn fn) {
   return out;
 }
 
+// out[i] = fn(a[i]) over `n` elements at either width; the loop every
+// elementwise unary op runs.
+template <typename T, typename Fn>
+void UnaryRaw(const T* pa, T* po, int64_t n, Fn fn) {
+  ParallelElems(n, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) po[i] = fn(pa[i]);
+  });
+}
+
 template <typename Fn>
 void UnaryInto(const Tensor& a, Tensor* out, Fn fn) {
   ODF_CHECK(out->shape() == a.shape());
-  const float* pa = a.data();
-  float* po = out->data();
-  ParallelElems(a.numel(), [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) po[i] = fn(pa[i]);
-  });
+  UnaryRaw(a.data(), out->data(), a.numel(), fn);
 }
 
 template <typename Fn>
@@ -743,6 +740,26 @@ Tensor MulScalar(const Tensor& a, float s) {
   return Unary(a, [s](float x) { return x * s; });
 }
 
+template <typename T>
+void SigmoidRaw(const T* a, T* out, int64_t n) {
+  UnaryRaw(a, out, n, [](T x) { return FastSigmoid(x); });
+}
+template <typename T>
+void TanhRaw(const T* a, T* out, int64_t n) {
+  UnaryRaw(a, out, n, [](T x) { return FastTanh(x); });
+}
+template <typename T>
+void ReluRaw(const T* a, T* out, int64_t n) {
+  UnaryRaw(a, out, n, [](T x) { return x > 0 ? x : T(0); });
+}
+
+template void SigmoidRaw(const float*, float*, int64_t);
+template void SigmoidRaw(const double*, double*, int64_t);
+template void TanhRaw(const float*, float*, int64_t);
+template void TanhRaw(const double*, double*, int64_t);
+template void ReluRaw(const float*, float*, int64_t);
+template void ReluRaw(const double*, double*, int64_t);
+
 Tensor Neg(const Tensor& a) {
   return Unary(a, [](float x) { return -x; });
 }
@@ -756,13 +773,19 @@ Tensor Sqrt(const Tensor& a) {
   return Unary(a, [](float x) { return std::sqrt(x); });
 }
 Tensor Tanh(const Tensor& a) {
-  return Unary(a, [](float x) { return FastTanh(x); });
+  Tensor out(a.shape());
+  TanhRaw(a.data(), out.data(), a.numel());
+  return out;
 }
 Tensor Sigmoid(const Tensor& a) {
-  return Unary(a, [](float x) { return FastSigmoid(x); });
+  Tensor out(a.shape());
+  SigmoidRaw(a.data(), out.data(), a.numel());
+  return out;
 }
 Tensor Relu(const Tensor& a) {
-  return Unary(a, [](float x) { return x > 0 ? x : 0.0f; });
+  Tensor out(a.shape());
+  ReluRaw(a.data(), out.data(), a.numel());
+  return out;
 }
 Tensor Abs(const Tensor& a) {
   return Unary(a, [](float x) { return std::fabs(x); });
@@ -786,17 +809,9 @@ void AddScalarInto(const Tensor& a, float s, Tensor* out) {
 void MulScalarInto(const Tensor& a, float s, Tensor* out) {
   UnaryInto(a, out, [s](float x) { return x * s; });
 }
-void SigmoidInto(const Tensor& a, Tensor* out) {
-  UnaryInto(a, out, [](float x) { return FastSigmoid(x); });
-}
-void TanhInto(const Tensor& a, Tensor* out) {
-  UnaryInto(a, out, [](float x) { return FastTanh(x); });
-}
-void ReluInto(const Tensor& a, Tensor* out) {
-  UnaryInto(a, out, [](float x) { return x > 0 ? x : 0.0f; });
-}
-
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
+template <typename T>
+void MatMulRaw(const T* a, const T* b, T* out, int64_t m, int64_t k,
+               int64_t n) {
   ODF_TRACE_SCOPE("kernel/", "gemm", "kernel");
   static Histogram& gemm_hist =
       MetricsRegistry::Global().GetHistogram("gemm.seconds");
@@ -805,6 +820,17 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
     static Counter& calls = MetricsRegistry::Global().GetCounter("gemm.calls");
     calls.Add(1);
   }
+  // Gemm accumulates into its output, matching a fresh zero-filled Tensor.
+  std::fill(out, out + m * n, T(0));
+  Gemm(a, b, out, m, k, n);
+}
+
+template void MatMulRaw(const float*, const float*, float*, int64_t, int64_t,
+                        int64_t);
+template void MatMulRaw(const double*, const double*, double*, int64_t,
+                        int64_t, int64_t);
+
+void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   ODF_CHECK_EQ(a.rank(), 2);
   ODF_CHECK_EQ(b.rank(), 2);
   const int64_t m = a.dim(0);
@@ -813,9 +839,7 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   ODF_CHECK_EQ(k, b.dim(0)) << "matmul " << a.shape().ToString() << " x "
                             << b.shape().ToString();
   ODF_CHECK(out->shape() == Shape({m, n}));
-  // Gemm accumulates into its output, matching a fresh zero-filled Tensor.
-  std::fill(out->data(), out->data() + m * n, 0.0f);
-  Gemm(a.data(), b.data(), out->data(), m, k, n);
+  MatMulRaw(a.data(), b.data(), out->data(), m, k, n);
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -826,11 +850,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  if (a.rank() == 2 && b.rank() == 2) {
-    MatMulInto(a, b, out);
-    return;
-  }
+template <typename T>
+void BatchMatMulRaw(const T* pa, int64_t a_step, const T* pb, int64_t b_step,
+                    T* po, int64_t batch, int64_t m, int64_t k, int64_t n) {
   ODF_TRACE_SCOPE("kernel/", "batch_gemm", "kernel");
   static Histogram& bgemm_hist =
       MetricsRegistry::Global().GetHistogram("batch_gemm.seconds");
@@ -840,26 +862,9 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
         MetricsRegistry::Global().GetCounter("batch_gemm.calls");
     calls.Add(1);
   }
-  ODF_CHECK(a.rank() == 2 || a.rank() == 3);
-  ODF_CHECK(b.rank() == 2 || b.rank() == 3);
-  const int64_t batch = a.rank() == 3 ? a.dim(0) : b.dim(0);
-  if (a.rank() == 3 && b.rank() == 3) {
-    ODF_CHECK_EQ(a.dim(0), b.dim(0));
-  }
-  const int64_t m = a.dim(-2);
-  const int64_t k = a.dim(-1);
-  const int64_t n = b.dim(-1);
-  ODF_CHECK_EQ(k, b.dim(-2)) << "bmm " << a.shape().ToString() << " x "
-                             << b.shape().ToString();
-  ODF_CHECK(out->shape() == Shape({batch, m, n}));
-  const int64_t a_step = a.rank() == 3 ? m * k : 0;
-  const int64_t b_step = b.rank() == 3 ? k * n : 0;
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out->data();
   // The per-batch Gemm calls accumulate; start from the zero a fresh Tensor
   // would hold.
-  std::fill(po, po + batch * m * n, 0.0f);
+  std::fill(po, po + batch * m * n, T(0));
 
   const int64_t per_batch_flops = m * k * n;
   if (batch * per_batch_flops <= kGemmNaiveFlops) {
@@ -883,7 +888,7 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   if (b_step == 0) {
     // One shared right operand (broadcast): pack it once and parallelize
     // over batch x row-block tasks.
-    std::vector<float> bpack(static_cast<size_t>(NumJTiles(n) * k * kNR));
+    std::vector<T> bpack(static_cast<size_t>(NumJTiles(n) * k * kNR));
     const int64_t pack_grain =
         std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, k * kNR));
     ParallelFor(NumJTiles(n), pack_grain, [&](int64_t t0, int64_t t1) {
@@ -896,7 +901,7 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
     const int64_t grain = std::max<int64_t>(
         1, kGemmNaiveFlops / std::max<int64_t>(1, flops_per_task));
     ParallelFor(batch * num_blocks, grain, [&](int64_t t0, int64_t t1) {
-      std::vector<float> apack(static_cast<size_t>(kMC * kKC));
+      std::vector<T> apack(static_cast<size_t>(kMC * kKC));
       for (int64_t t = t0; t < t1; ++t) {
         const int64_t bi = t / num_blocks;
         const int64_t blk = t % num_blocks;
@@ -915,6 +920,32 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
       Gemm(pa + bi * a_step, pb + bi * b_step, po + bi * m * n, m, k, n);
     }
   });
+}
+
+template void BatchMatMulRaw(const float*, int64_t, const float*, int64_t,
+                             float*, int64_t, int64_t, int64_t, int64_t);
+template void BatchMatMulRaw(const double*, int64_t, const double*, int64_t,
+                             double*, int64_t, int64_t, int64_t, int64_t);
+
+void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
+  if (a.rank() == 2 && b.rank() == 2) {
+    MatMulInto(a, b, out);
+    return;
+  }
+  ODF_CHECK(a.rank() == 2 || a.rank() == 3);
+  ODF_CHECK(b.rank() == 2 || b.rank() == 3);
+  const int64_t batch = a.rank() == 3 ? a.dim(0) : b.dim(0);
+  if (a.rank() == 3 && b.rank() == 3) {
+    ODF_CHECK_EQ(a.dim(0), b.dim(0));
+  }
+  const int64_t m = a.dim(-2);
+  const int64_t k = a.dim(-1);
+  const int64_t n = b.dim(-1);
+  ODF_CHECK_EQ(k, b.dim(-2)) << "bmm " << a.shape().ToString() << " x "
+                             << b.shape().ToString();
+  ODF_CHECK(out->shape() == Shape({batch, m, n}));
+  BatchMatMulRaw(a.data(), a.rank() == 3 ? m * k : 0, b.data(),
+                 b.rank() == 3 ? k * n : 0, out->data(), batch, m, k, n);
 }
 
 Tensor BatchMatMul(const Tensor& a, const Tensor& b) {
@@ -1070,24 +1101,9 @@ void ConcatInto(const Tensor* const* parts, size_t count, int64_t axis,
   std::vector<int64_t> dims = first.shape().dims();
   dims[static_cast<size_t>(axis)] = concat_dim;
   ODF_CHECK(out->shape() == Shape(dims));
-
-  // outer = product of dims before axis; inner = product after axis.
-  int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= first.dim(d);
-  int64_t inner = 1;
-  for (int64_t d = axis + 1; d < first.rank(); ++d) inner *= first.dim(d);
-
-  int64_t dest_offset = 0;
-  const int64_t out_row = concat_dim * inner;
-  for (size_t p = 0; p < count; ++p) {
-    const int64_t p_row = parts[p]->dim(axis) * inner;
-    for (int64_t o = 0; o < outer; ++o) {
-      const float* src = parts[p]->data() + o * p_row;
-      float* dst = out->data() + o * out_row + dest_offset;
-      std::copy(src, src + p_row, dst);
-    }
-    dest_offset += p_row;
-  }
+  ConcatRaw(
+      parts, count, axis, [&](size_t p) { return parts[p]->data(); },
+      out->data());
 }
 
 Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
@@ -1157,28 +1173,16 @@ Tensor MeanAll(const Tensor& a) {
   return Tensor::Scalar(SumAll(a).Item() / static_cast<float>(a.numel()));
 }
 
-void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out) {
-  if (axis < 0) axis += a.rank();
-  ODF_CHECK_GE(axis, 0);
-  ODF_CHECK_LT(axis, a.rank());
+template <typename T>
+void SumRaw(const T* pa, const Shape& shape, int64_t axis, T* po) {
+  if (axis < 0) axis += shape.rank();
   int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= a.dim(d);
-  const int64_t mid = a.dim(axis);
+  for (int64_t d = 0; d < axis; ++d) outer *= shape.dim(d);
+  const int64_t mid = shape.dim(axis);
   int64_t inner = 1;
-  for (int64_t d = axis + 1; d < a.rank(); ++d) inner *= a.dim(d);
-
-  std::vector<int64_t> dims = a.shape().dims();
-  if (keepdim) {
-    dims[static_cast<size_t>(axis)] = 1;
-  } else {
-    dims.erase(dims.begin() + axis);
-    if (dims.empty()) dims.push_back(1);
-  }
-  ODF_CHECK(out->shape() == Shape(dims));
-  const float* pa = a.data();
-  float* po = out->data();
+  for (int64_t d = axis + 1; d < shape.rank(); ++d) inner *= shape.dim(d);
   // The loops below accumulate; start from a fresh Tensor's zeros.
-  std::fill(po, po + out->numel(), 0.0f);
+  std::fill(po, po + outer * inner, T(0));
   if (outer > 1) {
     // Each outer slice owns a disjoint output range.
     const int64_t grain =
@@ -1186,8 +1190,8 @@ void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out) {
     ParallelFor(outer, grain, [&](int64_t o0, int64_t o1) {
       for (int64_t o = o0; o < o1; ++o) {
         for (int64_t m = 0; m < mid; ++m) {
-          const float* src = pa + (o * mid + m) * inner;
-          float* dst = po + o * inner;
+          const T* src = pa + (o * mid + m) * inner;
+          T* dst = po + o * inner;
           for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
         }
       }
@@ -1198,11 +1202,29 @@ void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out) {
     ParallelFor(inner, kElemGrain / std::max<int64_t>(1, mid),
                 [&](int64_t i0, int64_t i1) {
                   for (int64_t m = 0; m < mid; ++m) {
-                    const float* src = pa + m * inner;
+                    const T* src = pa + m * inner;
                     for (int64_t i = i0; i < i1; ++i) po[i] += src[i];
                   }
                 });
   }
+}
+
+template void SumRaw(const float*, const Shape&, int64_t, float*);
+template void SumRaw(const double*, const Shape&, int64_t, double*);
+
+void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out) {
+  if (axis < 0) axis += a.rank();
+  ODF_CHECK_GE(axis, 0);
+  ODF_CHECK_LT(axis, a.rank());
+  std::vector<int64_t> dims = a.shape().dims();
+  if (keepdim) {
+    dims[static_cast<size_t>(axis)] = 1;
+  } else {
+    dims.erase(dims.begin() + axis);
+    if (dims.empty()) dims.push_back(1);
+  }
+  ODF_CHECK(out->shape() == Shape(dims));
+  SumRaw(a.data(), a.shape(), axis, out->data());
 }
 
 Tensor Sum(const Tensor& a, int64_t axis, bool keepdim) {

@@ -1,6 +1,7 @@
 #ifndef ODF_TENSOR_TENSOR_OPS_H_
 #define ODF_TENSOR_TENSOR_OPS_H_
 
+#include <algorithm>
 #include <functional>
 #include <vector>
 
@@ -145,9 +146,6 @@ void AddInto(const Tensor& a, const Tensor& b, Tensor* out);
 void MulInto(const Tensor& a, const Tensor& b, Tensor* out);
 void AddScalarInto(const Tensor& a, float s, Tensor* out);
 void MulScalarInto(const Tensor& a, float s, Tensor* out);
-void SigmoidInto(const Tensor& a, Tensor* out);
-void TanhInto(const Tensor& a, Tensor* out);
-void ReluInto(const Tensor& a, Tensor* out);
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
 void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
 void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
@@ -166,7 +164,7 @@ void SoftmaxLastDimInto(const Tensor& a, Tensor* out);
 // The blocked GEMM packs its right operand into j-tile-major panels on
 // every call. For a static operand (a trained weight matrix on the serving
 // path) that pack can be hoisted: `PackGemmWeight` performs it once and
-// `MatMulPrepackedInto` runs the identical blocked row pipeline against the
+// `MatMulPrepackedRaw` runs the identical blocked row pipeline against the
 // stored panels — same micro-kernels, same k-ascending accumulation per
 // output element, so results are bit-identical to MatMul on the same
 // operands. Runs serially (the serving worker owns exactly one core-equiv
@@ -184,17 +182,13 @@ struct PackedGemmBT {
 using PackedGemmB = PackedGemmBT<float>;
 using PackedGemmB64 = PackedGemmBT<double>;
 
-/// Packs a rank-2 weight `b` ([k, n]) for MatMulPrepackedInto.
+/// Packs a rank-2 weight `b` ([k, n]) for MatMulPrepackedRaw.
 PackedGemmB PackGemmWeight(const Tensor& b);
 
 /// True when the blocked prepacked path handles an [rows, k] x [k, n]
 /// product (enough rows for the register tile). Callers fall back to
-/// MatMulInto / BatchMatMulInto otherwise.
+/// MatMulRaw / BatchMatMulRaw otherwise.
 bool PrepackedGemmViable(int64_t rows, int64_t k, int64_t n);
-
-/// out = a · b for `a` of any rank >= 1 flattened to [numel/k, k]; `out`
-/// must hold numel/k x n elements. Requires PrepackedGemmViable.
-void MatMulPrepackedInto(const Tensor& a, const PackedGemmB& b, Tensor* out);
 
 // -- Raw GEMM entry (layout kernels) --------------------------------------
 
@@ -215,11 +209,69 @@ void GemmRawInto(const double* a, const double* b, double* out, int64_t m,
 
 // -- Width-parameterized raw kernels (precision-lowered serving) -----------
 //
-// The compiled serving path (serve/forward_plan.h) runs at a selectable
-// precision. These raw entry points are the scalar-templated cores the
-// fp32 Tensor kernels above are built from, exposed so the fp64 plan can
-// replay the identical schedule over double arenas with no per-call
-// conversions. Instantiated for float and double in tensor_ops.cc.
+// The compiled serving path (serve/forward_plan.h) runs one interpreter at
+// either precision. These raw entry points are the scalar-templated cores
+// the fp32 Tensor kernels above are built from, so the fp32 plan runs the
+// tape's exact loops and the fp64 plan replays them over double arenas with
+// no per-call conversions. Instantiated for float and double in
+// tensor_ops.cc (ConcatRaw, header-only, for any T).
+
+/// out[i] = σ(a[i]) / tanh(a[i]) / max(a[i], 0) over `n` elements
+/// (FastSigmoid / FastTanh). The cores behind Sigmoid, Tanh and Relu; `out`
+/// may alias `a`.
+template <typename T>
+void SigmoidRaw(const T* a, T* out, int64_t n);
+template <typename T>
+void TanhRaw(const T* a, T* out, int64_t n);
+template <typename T>
+void ReluRaw(const T* a, T* out, int64_t n);
+
+/// out (m x n) = a (m x k) · b (k x n), overwriting `out`. The core behind
+/// MatMulInto, gemm.* metrics included.
+template <typename T>
+void MatMulRaw(const T* a, const T* b, T* out, int64_t m, int64_t k,
+               int64_t n);
+
+/// out[i] = a[i] · b[i] for `batch` products of (m x k) · (k x n), where
+/// operand i starts at a + i·a_step and b + i·b_step (a step of 0
+/// broadcasts one matrix across the batch). The core behind
+/// BatchMatMulInto, batch_gemm.* metrics included.
+template <typename T>
+void BatchMatMulRaw(const T* a, int64_t a_step, const T* b, int64_t b_step,
+                    T* out, int64_t batch, int64_t m, int64_t k, int64_t n);
+
+/// Sum of `a` (row-major, dims `shape`) over `axis` into `out`, which holds
+/// shape's element count with that axis collapsed; accumulation over the
+/// axis is ascending. The core behind SumInto.
+template <typename T>
+void SumRaw(const T* a, const Shape& shape, int64_t axis, T* out);
+
+/// Concatenation along `axis` of `count` parts, part p shaped like
+/// `*shapes[p]` with its elements at `data(p)`. The core behind ConcatInto;
+/// the compiled plan passes float tensors as shape metadata and its
+/// own-width arena payloads as data.
+template <typename T, typename PartData>
+void ConcatRaw(const Tensor* const* shapes, size_t count, int64_t axis,
+               PartData data, T* out) {
+  const Tensor& first = *shapes[0];
+  if (axis < 0) axis += first.rank();
+  int64_t outer = 1;
+  for (int64_t d = 0; d < axis; ++d) outer *= first.dim(d);
+  int64_t inner = 1;
+  for (int64_t d = axis + 1; d < first.rank(); ++d) inner *= first.dim(d);
+  int64_t out_row = 0;
+  for (size_t p = 0; p < count; ++p) out_row += shapes[p]->dim(axis) * inner;
+  int64_t dest_offset = 0;
+  for (size_t p = 0; p < count; ++p) {
+    const int64_t p_row = shapes[p]->dim(axis) * inner;
+    const T* part = data(p);
+    for (int64_t o = 0; o < outer; ++o) {
+      std::copy(part + o * p_row, part + (o + 1) * p_row,
+                out + o * out_row + dest_offset);
+    }
+    dest_offset += p_row;
+  }
+}
 
 /// Packs a row-major [k, n] weight for MatMulPrepackedRaw — same panel
 /// layout decisions as PackGemmWeight at either width.

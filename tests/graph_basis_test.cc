@@ -339,6 +339,22 @@ TEST(GraphBasisServingTest, PlanMatchesTapeForEveryGraphOp) {
             << "fp64/fp32 divergence at " << i;
       }
     }
+
+    // fp64 plan is bit-identical across thread counts too.
+    std::vector<Tensor> serial64;
+    for (int threads : {1, 4}) {
+      ThreadPool::Global().Resize(threads);
+      plan64.Run(batch.inputs);
+      for (int64_t j = 0; j < plan64.horizon(); ++j) {
+        if (threads == 1) {
+          serial64.push_back(plan64.output(j));
+        } else {
+          EXPECT_TRUE(BitIdentical(serial64[static_cast<size_t>(j)],
+                                   plan64.output(j)))
+              << "fp64 threads=4 horizon step " << j;
+        }
+      }
+    }
   }
 }
 

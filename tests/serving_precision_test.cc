@@ -459,6 +459,21 @@ TEST(ForecastServicePrecisionTest, AccuracyGatePassesOnRealModel) {
       << "precision_check did not run the dual-plan comparison";
   EXPECT_EQ(rejects.value(), rejects0)
       << "the fp32 plan tripped the accuracy gate on a real model";
+
+  // The delta gauges show the last checked batch: nonzero (the widths
+  // really differ) and inside the gate.
+  const struct {
+    const char* name;
+    double tolerance;
+  } gauges[] = {{"serve.precision_kl", serve::kPrecisionKlTolerance},
+                {"serve.precision_js", serve::kPrecisionJsTolerance},
+                {"serve.precision_emd", serve::kPrecisionEmdTolerance}};
+  for (const auto& gauge : gauges) {
+    const double value =
+        MetricsRegistry::Global().GetGauge(gauge.name).value();
+    EXPECT_GT(value, 0.0) << gauge.name;
+    EXPECT_LE(value, gauge.tolerance) << gauge.name;
+  }
 }
 
 }  // namespace
