@@ -13,8 +13,9 @@ namespace odf::nn {
 /// Computes the `order` Chebyshev taps of the scaled Laplacian applied to
 /// node features x [B, n, F] (T_1 = x, T_2 = L̂x, T_s = 2·L̂·T_{s-1} −
 /// T_{s-2}) and concatenates them along the feature axis into [B, n,
-/// order·F]. Each L̂-application goes through ag::SpMM, so the recurrence
-/// runs on the CSR kernel whenever the operator selected the sparse path.
+/// order·F]. The whole recurrence is one fused ag::ChebyshevBasis tape node,
+/// which runs on the CSR kernel whenever the operator selected the sparse
+/// path (docs/graph_operators.md says why it is kept fused).
 ///
 /// The recurrence is the hot loop of every graph convolution; consumers
 /// that convolve the same (L̂, x) pair — the GCGRU reset/update gates —

@@ -22,15 +22,18 @@ autograd::Var GraphPool(const autograd::Var& x,
                         const std::vector<std::vector<int64_t>>& clusters,
                         PoolKind kind);
 
-/// Value-only forward of GraphPool into a preallocated [B, n_c, F] output
-/// (the serving path). When `argmax` is non-null it is resized to
-/// B·n_c·F and records the winning source node per cell for max pooling
-/// (the tape's backward needs it; inference passes nullptr). Shared by the
-/// differentiable wrapper above, so both paths pool bit-identically.
-void GraphPoolForwardInto(const Tensor& x,
-                          const std::vector<std::vector<int64_t>>& clusters,
-                          PoolKind kind, Tensor* out,
-                          std::vector<int32_t>* argmax);
+/// Value-only cluster pooling of raw [batch, n, features] rows into
+/// [batch, n_c, features] at either width: the one core behind the tape's
+/// GraphPool and the compiled plan's kGraphPool. Each output cell pools its
+/// cluster's rows in cluster order (sum then one inverse multiply, or a
+/// compare-and-replace chain), so every caller pools bit-identically. When
+/// `argmax` is non-null (max pooling), it holds batch·n_c·features entries,
+/// zero-filled by the caller, and receives the winning source node per cell
+/// for the max-pool backward. Instantiated for float and double.
+template <typename T>
+void GraphPoolRaw(const T* x, int64_t batch, int64_t n, int64_t features,
+                  const std::vector<std::vector<int64_t>>& clusters,
+                  PoolKind kind, T* out, int32_t* argmax);
 
 }  // namespace odf::nn
 

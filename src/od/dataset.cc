@@ -6,8 +6,10 @@ namespace odf {
 
 ForecastDataset::ForecastDataset(const OdTensorSeries* series,
                                  int64_t history, int64_t horizon)
-    : series_(series), history_(history), horizon_(horizon) {
-  ODF_CHECK(series != nullptr);
+    : series_source_(std::make_shared<const SeriesOdSource>(series)),
+      source_(series_source_.get()),
+      history_(history),
+      horizon_(horizon) {
   InitDims();
 }
 
@@ -21,38 +23,23 @@ ForecastDataset::ForecastDataset(const OdSource* source, int64_t history,
 void ForecastDataset::InitDims() {
   ODF_CHECK_GT(history_, 0);
   ODF_CHECK_GT(horizon_, 0);
-  ODF_CHECK_GE(SourceNumIntervals(), history_ + horizon_)
+  ODF_CHECK_GE(source_->NumIntervals(), history_ + horizon_)
       << "series too short for the requested window";
-  const std::shared_ptr<const OdTensor> proto = SourceInterval(0);
+  const std::shared_ptr<const OdTensor> proto = source_->Interval(0);
   num_origins_ = proto->num_origins();
   num_destinations_ = proto->num_destinations();
   num_buckets_ = proto->num_buckets();
 }
 
-int64_t ForecastDataset::SourceNumIntervals() const {
-  return series_ != nullptr ? series_->NumIntervals()
-                            : source_->NumIntervals();
-}
-
-std::shared_ptr<const OdTensor> ForecastDataset::SourceInterval(
-    int64_t t) const {
-  if (series_ != nullptr) {
-    // Aliasing pointer: the series owns the tensor and outlives us.
-    return std::shared_ptr<const OdTensor>(std::shared_ptr<const OdTensor>(),
-                                           &series_->at(t));
-  }
-  return source_->Interval(t);
-}
-
 const OdTensorSeries& ForecastDataset::series() const {
-  ODF_CHECK(series_ != nullptr)
+  ODF_CHECK(series_source_ != nullptr)
       << "series() on a streaming-backed ForecastDataset; whole-series "
          "access requires the in-memory constructor (has_series())";
-  return *series_;
+  return series_source_->series();
 }
 
 int64_t ForecastDataset::NumSamples() const {
-  return SourceNumIntervals() - history_ - horizon_ + 1;
+  return source_->NumIntervals() - history_ - horizon_ + 1;
 }
 
 int64_t ForecastDataset::AnchorInterval(int64_t i) const {
@@ -107,7 +94,7 @@ Batch ForecastDataset::MakeBatch(
                         offset_from_anchor;
       // The shared_ptr keeps the tensor alive across the copy even if a
       // streaming source evicts it from its cache concurrently.
-      const std::shared_ptr<const OdTensor> tensor = SourceInterval(t);
+      const std::shared_ptr<const OdTensor> tensor = source_->Interval(t);
       const Tensor source =
           masks ? tensor->ExpandedMask() : tensor->values();
       std::copy(source.data(), source.data() + cell,

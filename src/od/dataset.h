@@ -32,10 +32,11 @@ struct Batch {
 /// Sliding-window forecasting dataset over an OD tensor series
 /// (paper problem statement: s historical tensors -> h future tensors).
 ///
-/// Two backing modes share one batching path:
-///  - in-memory: constructed from an `OdTensorSeries*` — every interval is
-///    materialized (paper-scale grids; also what the classical baselines
-///    need, see `series()`);
+/// Every interval comes from one OdSource:
+///  - in-memory: constructed from an `OdTensorSeries*`, which the dataset
+///    wraps in a SeriesOdSource — every interval is materialized
+///    (paper-scale grids; also what the classical baselines need, see
+///    `series()`);
 ///  - streaming: constructed from an `OdSource*` (e.g. od/stream_source.h
 ///    over an on-disk trip log) — intervals are built on demand and peak
 ///    memory is bounded by the source's cache, not the dataset length.
@@ -89,7 +90,7 @@ class ForecastDataset {
 
   /// True when the dataset is backed by a materialized series (`series()` is
   /// callable). Streaming datasets return false.
-  bool has_series() const { return series_ != nullptr; }
+  bool has_series() const { return series_source_ != nullptr; }
 
   /// The materialized series. Only the classical baselines (GP, VAR, the
   /// naive histogram) and offline analysis need whole-series access; they
@@ -98,12 +99,12 @@ class ForecastDataset {
   const OdTensorSeries& series() const;
 
  private:
-  int64_t SourceNumIntervals() const;
-  std::shared_ptr<const OdTensor> SourceInterval(int64_t t) const;
   void InitDims();
 
-  const OdTensorSeries* series_ = nullptr;  // in-memory mode
-  const OdSource* source_ = nullptr;        // streaming mode
+  // In-memory mode owns the view over the series; shared so copies of the
+  // dataset keep `source_` valid.
+  std::shared_ptr<const SeriesOdSource> series_source_;
+  const OdSource* source_ = nullptr;
   int64_t history_;
   int64_t horizon_;
   int64_t num_origins_ = 0;

@@ -1,7 +1,6 @@
 #include "serve/forward_plan.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -27,241 +26,6 @@ void PrepareShape(Tensor* t, const BufShape& spec, int64_t batch) {
     same = cur[i + 1] == spec.tail[i];
   }
   if (!same) *t = std::move(*t).Reshape(spec.Dims(batch));
-}
-
-// -- Plan glue shared by both widths ---------------------------------------
-//
-// Shapes come from the float metadata tensors (PrepareShape keeps them in
-// lock-step with the schedule); payloads live in the plan's own-width
-// arena. The glue helpers below are deliberately serial: they move little
-// data, and serial loops are thread-invariant by construction. The hot
-// kernels run width-templated parallel code whose per-element accumulation
-// order is fixed at every thread count, so both plan widths are
-// bit-identical across ODF_THREADS settings.
-
-/// Permutes `src` (row-major, dims `in_dims`) by `perm` into `dst`, widening
-/// on the fly when S and D differ. Same element mapping as PermuteInto (a
-/// permutation is a pure relabeling, so any traversal yields identical
-/// bytes); axes the permutation leaves in place at the tail are contiguous
-/// with stride 1 in both layouts and are copied as one chunk instead of
-/// element-by-element. Used by BOTH plan widths so the fp32 and fp64
-/// schedules pay the same per-op cost.
-template <typename S, typename D>
-void PermuteRaw(const S* src, const std::vector<int64_t>& in_dims,
-                const std::vector<int64_t>& perm, D* dst) {
-  const int64_t rank = static_cast<int64_t>(in_dims.size());
-  std::vector<int64_t> new_dims(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    new_dims[i] = in_dims[static_cast<size_t>(perm[i])];
-  }
-  std::vector<int64_t> in_strides(in_dims.size(), 1);
-  for (int64_t d = rank - 2; d >= 0; --d) {
-    const size_t du = static_cast<size_t>(d);
-    in_strides[du] = in_strides[du + 1] * in_dims[du + 1];
-  }
-  std::vector<int64_t> src_strides(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    src_strides[i] = in_strides[static_cast<size_t>(perm[i])];
-  }
-  int64_t numel = 1;
-  for (int64_t d : in_dims) numel *= d;
-  int64_t chunk_rank = rank;
-  int64_t chunk = 1;
-  while (chunk_rank > 0 &&
-         perm[static_cast<size_t>(chunk_rank - 1)] == chunk_rank - 1) {
-    --chunk_rank;
-    chunk *= new_dims[static_cast<size_t>(chunk_rank)];
-  }
-  if (chunk_rank == 0) {  // identity permutation: one straight copy
-    for (int64_t i = 0; i < numel; ++i) dst[i] = static_cast<D>(src[i]);
-    return;
-  }
-  std::vector<int64_t> index(static_cast<size_t>(chunk_rank), 0);
-  int64_t si = 0;
-  for (int64_t flat = 0; flat < numel; flat += chunk) {
-    for (int64_t j = 0; j < chunk; ++j) {
-      dst[flat + j] = static_cast<D>(src[si + j]);
-    }
-    for (int64_t d = chunk_rank - 1; d >= 0; --d) {
-      const size_t du = static_cast<size_t>(d);
-      ++index[du];
-      si += src_strides[du];
-      if (index[du] < new_dims[du]) break;
-      si -= src_strides[du] * new_dims[du];
-      index[du] = 0;
-    }
-  }
-}
-
-/// out = fn(a, b) with NumPy-style broadcasting; shapes come from the float
-/// metadata tensors. Mirrors BroadcastBinaryInto's stride-0 odometer (the
-/// same single fn application per element, so the float instantiation is
-/// bit-identical to the facade); both plan widths call this so their per-op
-/// overhead matches.
-template <typename T, typename Fn>
-void BroadcastBinaryRaw(const T* pa, const Tensor& am, const T* pb,
-                        const Tensor& bm, T* po, const Tensor& om, Fn fn) {
-  if (am.shape() == bm.shape()) {
-    const int64_t numel = am.numel();
-    for (int64_t i = 0; i < numel; ++i) po[i] = fn(pa[i], pb[i]);
-    return;
-  }
-  const int64_t rank = om.rank();
-  auto broadcast_strides = [&](const Tensor& t) {
-    std::vector<int64_t> strides(static_cast<size_t>(rank), 0);
-    const auto own = t.shape().Strides();
-    const int64_t offset = rank - t.rank();
-    for (int64_t i = 0; i < t.rank(); ++i) {
-      if (t.dim(i) != 1) {
-        strides[static_cast<size_t>(offset + i)] = own[static_cast<size_t>(i)];
-      }
-    }
-    return strides;
-  };
-  const auto sa = broadcast_strides(am);
-  const auto sb = broadcast_strides(bm);
-  std::vector<int64_t> index(static_cast<size_t>(rank), 0);
-  int64_t ai = 0;
-  int64_t bi = 0;
-  const int64_t numel = om.numel();
-  for (int64_t flat = 0; flat < numel; ++flat) {
-    po[flat] = fn(pa[ai], pb[bi]);
-    for (int64_t d = rank - 1; d >= 0; --d) {
-      const size_t du = static_cast<size_t>(d);
-      ++index[du];
-      ai += sa[du];
-      bi += sb[du];
-      if (index[du] < om.dim(d)) break;
-      ai -= sa[du] * om.dim(d);
-      bi -= sb[du] * om.dim(d);
-      index[du] = 0;
-    }
-  }
-}
-
-template <typename T>
-void SliceRaw(const T* pa, const Tensor& am, int64_t axis,
-              int64_t start, int64_t len, T* po) {
-  if (axis < 0) axis += am.rank();
-  int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= am.dim(d);
-  int64_t inner = 1;
-  for (int64_t d = axis + 1; d < am.rank(); ++d) inner *= am.dim(d);
-  const int64_t src_row = am.dim(axis) * inner;
-  const int64_t dst_row = len * inner;
-  for (int64_t o = 0; o < outer; ++o) {
-    const T* src = pa + o * src_row + start * inner;
-    std::copy(src, src + dst_row, po + o * dst_row);
-  }
-}
-
-/// Width-templated port of nn::GraphPoolForwardInto (no argmax: serving
-/// never needs the max-pool backward indices, and dropping the per-update
-/// argmax branch keeps the inner loops tight). Per-element operation order —
-/// cluster-order accumulate then one inverse multiply, or the same
-/// compare-and-replace chain — matches the facade exactly, so the float
-/// instantiation is bit-identical to the tape's GraphPool.
-// Four-cells-per-step average pooling over the batch-divisible prefix,
-// with the feature width as a compile-time constant when it matches one of
-// the widths the model actually runs (F == 0 keeps it a runtime value).
-// Constant trip counts let the compiler emit straight-line vector code for
-// the three per-cluster loops, whose setup otherwise dominates at
-// single-digit feature widths.
-template <int64_t F, typename T>
-int64_t GraphPoolAvgQuad(const T* x, int64_t batch, int64_t n,
-                         int64_t features,
-                         const std::vector<std::vector<int64_t>>& clusters,
-                         T* out) {
-  const int64_t nf = F > 0 ? F : features;
-  const int64_t nc = static_cast<int64_t>(clusters.size());
-  int64_t b = 0;
-  for (; b + 4 <= batch; b += 4) {
-    for (int64_t c = 0; c < nc; ++c) {
-      const auto& cluster = clusters[static_cast<size_t>(c)];
-      T* d0 = out + ((b + 0) * nc + c) * nf;
-      T* d1 = out + ((b + 1) * nc + c) * nf;
-      T* d2 = out + ((b + 2) * nc + c) * nf;
-      T* d3 = out + ((b + 3) * nc + c) * nf;
-      for (int64_t f = 0; f < nf; ++f) {
-        d0[f] = T(0);
-        d1[f] = T(0);
-        d2[f] = T(0);
-        d3[f] = T(0);
-      }
-      for (int64_t i : cluster) {
-        const T* s0 = x + ((b + 0) * n + i) * nf;
-        const T* s1 = x + ((b + 1) * n + i) * nf;
-        const T* s2 = x + ((b + 2) * n + i) * nf;
-        const T* s3 = x + ((b + 3) * n + i) * nf;
-        for (int64_t f = 0; f < nf; ++f) {
-          d0[f] += s0[f];
-          d1[f] += s1[f];
-          d2[f] += s2[f];
-          d3[f] += s3[f];
-        }
-      }
-      const T inv = T(1) / static_cast<T>(cluster.size());
-      for (int64_t f = 0; f < nf; ++f) {
-        d0[f] *= inv;
-        d1[f] *= inv;
-        d2[f] *= inv;
-        d3[f] *= inv;
-      }
-    }
-  }
-  return b;
-}
-
-template <typename T>
-void GraphPoolRaw(const T* x, int64_t batch, int64_t n, int64_t features,
-                  const std::vector<std::vector<int64_t>>& clusters,
-                  nn::PoolKind kind, T* out) {
-  const int64_t nc = static_cast<int64_t>(clusters.size());
-  int64_t b = 0;
-  if (kind == nn::PoolKind::kAverage) {
-    // Four batch cells per step: the accumulate chains through the
-    // destination row, and at the serving feature widths (single-digit) one
-    // row is a single vector, so a lone cell serializes on that store-load
-    // chain. Four independent cells cover the add latency. Each output cell
-    // still accumulates its own cluster rows in cluster order, so results
-    // are bit-identical to the one-cell-at-a-time facade.
-    switch (features) {
-      case 7:
-        b = GraphPoolAvgQuad<7>(x, batch, n, features, clusters, out);
-        break;
-      case 8:
-        b = GraphPoolAvgQuad<8>(x, batch, n, features, clusters, out);
-        break;
-      default:
-        b = GraphPoolAvgQuad<0>(x, batch, n, features, clusters, out);
-        break;
-    }
-  }
-  for (; b < batch; ++b) {
-    for (int64_t c = 0; c < nc; ++c) {
-      const auto& cluster = clusters[static_cast<size_t>(c)];
-      T* dst = out + (b * nc + c) * features;
-      if (kind == nn::PoolKind::kAverage) {
-        for (int64_t f = 0; f < features; ++f) dst[f] = T(0);
-        for (int64_t i : cluster) {
-          const T* src = x + (b * n + i) * features;
-          for (int64_t f = 0; f < features; ++f) dst[f] += src[f];
-        }
-        const T inv = T(1) / static_cast<T>(cluster.size());
-        for (int64_t f = 0; f < features; ++f) dst[f] *= inv;
-      } else {
-        for (int64_t f = 0; f < features; ++f) {
-          dst[f] = -std::numeric_limits<T>::infinity();
-        }
-        for (int64_t i : cluster) {
-          const T* src = x + (b * n + i) * features;
-          for (int64_t f = 0; f < features; ++f) {
-            if (src[f] > dst[f]) dst[f] = src[f];
-          }
-        }
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -336,6 +100,7 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
     return bufs_[static_cast<size_t>(id)];
   };
   const auto src = [&](int32_t id) -> const T* { return Data<T>(id); };
+  const auto add = [](T x, T y) { return x + y; };
   switch (ins.kind) {
     case OpKind::kLoadInput: {
       // fp64 plans widen their inputs here and in kLoadInputPermuted.
@@ -345,7 +110,7 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
     }
     case OpKind::kLoadInputPermuted: {
       const Tensor& in = inputs[static_cast<size_t>(ins.input_index)];
-      PermuteRaw(in.data(), in.shape().dims(), ins.perm, po);
+      PermuteRaw(in.data(), in.shape(), ins.perm, po);
       break;
     }
     case OpKind::kReshape:
@@ -366,39 +131,28 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
       std::fill(po, po + out.numel(), T(0));
       break;
     case OpKind::kAdd:
-      BroadcastBinaryRaw(src(ins.a), meta(ins.a), src(ins.b), meta(ins.b), po,
-                         out, [](T x, T y) { return x + y; });
+      BroadcastBinaryRaw(src(ins.a), meta(ins.a).shape(), src(ins.b),
+                         meta(ins.b).shape(), po, out.shape(), add);
       break;
     case OpKind::kMul:
-      BroadcastBinaryRaw(src(ins.a), meta(ins.a), src(ins.b), meta(ins.b), po,
-                         out, [](T x, T y) { return x * y; });
+      BroadcastBinaryRaw(src(ins.a), meta(ins.a).shape(), src(ins.b),
+                         meta(ins.b).shape(), po, out.shape(),
+                         [](T x, T y) { return x * y; });
       break;
-    case OpKind::kAddBiasW: {
-      // Bias broadcast over the last axis, written as the plain 2-D loop:
-      // per element the identical single addition AddInto performs, minus
-      // its shape machinery (biases are rank-1; asserted at compile).
-      const int64_t cols = weights_[static_cast<size_t>(ins.w)].numel();
-      const int64_t rows = meta(ins.a).numel() / cols;
-      const T* ap = src(ins.a);
-      const T* bp = Weight<T>(ins.w);
-      T* op = po;
-      for (int64_t r = 0; r < rows; ++r, ap += cols, op += cols) {
-        for (int64_t j = 0; j < cols; ++j) op[j] = ap[j] + bp[j];
-      }
+    case OpKind::kAddBiasW:
+      // A rank-1 bias (asserted at compile) takes the core's row loop.
+      BroadcastBinaryRaw(src(ins.a), meta(ins.a).shape(), Weight<T>(ins.w),
+                         weights_[static_cast<size_t>(ins.w)].shape(), po,
+                         out.shape(), add);
       break;
-    }
     case OpKind::kAddScalar: {
       const T s = static_cast<T>(ins.scalar);
-      const T* ap = src(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] + s;
+      UnaryRaw(src(ins.a), po, out.numel(), [s](T x) { return x + s; });
       break;
     }
     case OpKind::kMulScalar: {
       const T s = static_cast<T>(ins.scalar);
-      const T* ap = src(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] * s;
+      UnaryRaw(src(ins.a), po, out.numel(), [s](T x) { return x * s; });
       break;
     }
     case OpKind::kSigmoid:
@@ -444,7 +198,8 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
       break;
     }
     case OpKind::kSlice:
-      SliceRaw(src(ins.a), meta(ins.a), ins.axis, ins.start, ins.len, po);
+      SliceRaw(src(ins.a), meta(ins.a).shape(), ins.axis, ins.start, ins.len,
+               po);
       break;
     case OpKind::kSumKeep:
       SumRaw(src(ins.a), meta(ins.a).shape(), ins.axis, po);
@@ -456,7 +211,7 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
       break;
     }
     case OpKind::kPermute:
-      PermuteRaw(src(ins.a), meta(ins.a).shape().dims(), ins.perm, po);
+      PermuteRaw(src(ins.a), meta(ins.a).shape(), ins.perm, po);
       break;
     case OpKind::kChebBasis:
     case OpKind::kGraphApply: {
@@ -481,8 +236,8 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
     }
     case OpKind::kGraphPool: {
       const Tensor& x = meta(ins.a);
-      GraphPoolRaw(src(ins.a), x.dim(0), x.dim(1), x.dim(2), *ins.clusters,
-                   ins.pool, po);
+      nn::GraphPoolRaw(src(ins.a), x.dim(0), x.dim(1), x.dim(2),
+                       *ins.clusters, ins.pool, po, /*argmax=*/nullptr);
       break;
     }
     case OpKind::kRecover: {

@@ -91,7 +91,7 @@ struct BufShape {
 
 enum class OpKind : uint8_t {
   kLoadInput,          // copy inputs[input_index] into out at `start`·B elems
-  kLoadInputPermuted,  // PermuteInto(inputs[input_index], perm, out)
+  kLoadInputPermuted,  // out = Permute(inputs[input_index], perm)
   kReshape,            // re-view buffer `out` as shape (no data movement)
   kCopy,               // out = a (element copy, same numel)
   kSliceRows,          // out = a[start·B : start·B + out.numel] (elements)

@@ -22,10 +22,6 @@ namespace {
 // output ranges, so ODF_THREADS=1 and ODF_THREADS=N produce bit-identical
 // tensors (asserted by substrate_test).
 
-// Minimum elements per chunk for elementwise/layout kernels; below
-// `kElemGrain` total the dispatch overhead outweighs the loop.
-constexpr int64_t kElemGrain = 1 << 14;
-
 // GEMM cache blocking: kMC x kKC panels of A are packed into thread-local
 // buffers (64 KiB, L2-resident) and multiplied into C through a kMR x kNR
 // register-tiled micro-kernel; B is packed once per call into j-tile-major
@@ -481,12 +477,6 @@ void Gemm(const T* pa, const T* pb, T* po, int64_t m, int64_t k,
   });
 }
 
-// Runs an elementwise-style kernel over [0, n) flat indices.
-template <typename Body>
-void ParallelElems(int64_t n, const Body& body) {
-  ParallelFor(n, kElemGrain, body);
-}
-
 }  // namespace
 
 void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
@@ -575,102 +565,18 @@ template void MatMulPrepackedRaw(const double*, int64_t,
 
 namespace {
 
-// Iterates over a broadcast binary op. `out[i] = fn(a[ai], b[bi])` where the
-// flat indices ai/bi are computed with broadcast-aware strides. `out` must
-// already hold the broadcast result shape; the allocating BroadcastBinary
-// wrapper below shares this exact loop body, so both paths are bit-identical.
-template <typename Fn>
-void BroadcastBinaryInto(const Tensor& a, const Tensor& b, Tensor* out,
-                         Fn fn) {
-  if (a.shape() == b.shape()) {
-    ODF_CHECK(out->shape() == a.shape());
-    const float* pa = a.data();
-    const float* pb = b.data();
-    float* po = out->data();
-    ParallelElems(a.numel(), [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) po[i] = fn(pa[i], pb[i]);
-    });
-    return;
-  }
-  const Shape out_shape = BroadcastShape(a.shape(), b.shape());
-  ODF_CHECK(out->shape() == out_shape);
-  const int64_t rank = out_shape.rank();
-
-  // Broadcast strides: stride 0 on broadcast dimensions.
-  auto broadcast_strides = [&](const Shape& s) {
-    std::vector<int64_t> strides(static_cast<size_t>(rank), 0);
-    const auto own = s.Strides();
-    const int64_t offset = rank - s.rank();
-    for (int64_t i = 0; i < s.rank(); ++i) {
-      if (s.dim(i) != 1) {
-        strides[static_cast<size_t>(offset + i)] = own[static_cast<size_t>(i)];
-      }
-    }
-    return strides;
-  };
-  const auto sa = broadcast_strides(a.shape());
-  const auto sb = broadcast_strides(b.shape());
-
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out->data();
-  ParallelElems(out->numel(), [&](int64_t begin, int64_t end) {
-    // Seed the odometer (and the broadcast source offsets) from the chunk's
-    // first flat index, then walk incrementally.
-    std::vector<int64_t> index(static_cast<size_t>(rank), 0);
-    int64_t ai = 0;
-    int64_t bi = 0;
-    int64_t rem = begin;
-    for (int64_t d = rank - 1; d >= 0; --d) {
-      const size_t du = static_cast<size_t>(d);
-      index[du] = rem % out_shape.dim(d);
-      rem /= out_shape.dim(d);
-      ai += index[du] * sa[du];
-      bi += index[du] * sb[du];
-    }
-    for (int64_t flat = begin; flat < end; ++flat) {
-      po[flat] = fn(pa[ai], pb[bi]);
-      // Odometer increment.
-      for (int64_t d = rank - 1; d >= 0; --d) {
-        const size_t du = static_cast<size_t>(d);
-        ++index[du];
-        ai += sa[du];
-        bi += sb[du];
-        if (index[du] < out_shape.dim(d)) break;
-        ai -= sa[du] * out_shape.dim(d);
-        bi -= sb[du] * out_shape.dim(d);
-        index[du] = 0;
-      }
-    }
-  });
-}
-
 template <typename Fn>
 Tensor BroadcastBinary(const Tensor& a, const Tensor& b, Fn fn) {
   Tensor out(BroadcastShape(a.shape(), b.shape()));
-  BroadcastBinaryInto(a, b, &out, fn);
+  BroadcastBinaryRaw(a.data(), a.shape(), b.data(), b.shape(), out.data(),
+                     out.shape(), fn);
   return out;
-}
-
-// out[i] = fn(a[i]) over `n` elements at either width; the loop every
-// elementwise unary op runs.
-template <typename T, typename Fn>
-void UnaryRaw(const T* pa, T* po, int64_t n, Fn fn) {
-  ParallelElems(n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) po[i] = fn(pa[i]);
-  });
-}
-
-template <typename Fn>
-void UnaryInto(const Tensor& a, Tensor* out, Fn fn) {
-  ODF_CHECK(out->shape() == a.shape());
-  UnaryRaw(a.data(), out->data(), a.numel(), fn);
 }
 
 template <typename Fn>
 Tensor Unary(const Tensor& a, Fn fn) {
   Tensor out(a.shape());
-  UnaryInto(a, &out, fn);
+  UnaryRaw(a.data(), out.data(), a.numel(), fn);
   return out;
 }
 
@@ -688,6 +594,30 @@ Shape BroadcastShape(const Shape& a, const Shape& b) {
     dims[static_cast<size_t>(i)] = std::max(da, db);
   }
   return Shape(dims);
+}
+
+bool BroadcastsAsRows(const Shape& b, const Shape& out) {
+  if (b.numel() == 0) return false;
+  int64_t lead = 0;
+  while (lead < b.rank() && b.dim(lead) == 1) ++lead;
+  const int64_t tail = b.rank() - lead;
+  if (tail > out.rank()) return false;
+  for (int64_t i = 0; i < tail; ++i) {
+    if (b.dim(lead + i) != out.dim(out.rank() - tail + i)) return false;
+  }
+  return true;
+}
+
+std::vector<int64_t> BroadcastStrides(const Shape& shape, int64_t out_rank) {
+  std::vector<int64_t> strides(static_cast<size_t>(out_rank), 0);
+  const auto own = shape.Strides();
+  const int64_t offset = out_rank - shape.rank();
+  for (int64_t i = 0; i < shape.rank(); ++i) {
+    if (shape.dim(i) != 1) {
+      strides[static_cast<size_t>(offset + i)] = own[static_cast<size_t>(i)];
+    }
+  }
+  return strides;
 }
 
 bool IsBroadcastableTo(const Shape& from, const Shape& to) {
@@ -797,18 +727,6 @@ Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
   return Unary(a, fn);
 }
 
-void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  BroadcastBinaryInto(a, b, out, [](float x, float y) { return x + y; });
-}
-void MulInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  BroadcastBinaryInto(a, b, out, [](float x, float y) { return x * y; });
-}
-void AddScalarInto(const Tensor& a, float s, Tensor* out) {
-  UnaryInto(a, out, [s](float x) { return x + s; });
-}
-void MulScalarInto(const Tensor& a, float s, Tensor* out) {
-  UnaryInto(a, out, [s](float x) { return x * s; });
-}
 template <typename T>
 void MatMulRaw(const T* a, const T* b, T* out, int64_t m, int64_t k,
                int64_t n) {
@@ -830,7 +748,7 @@ template void MatMulRaw(const float*, const float*, float*, int64_t, int64_t,
 template void MatMulRaw(const double*, const double*, double*, int64_t,
                         int64_t, int64_t);
 
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
+Tensor MatMul(const Tensor& a, const Tensor& b) {
   ODF_CHECK_EQ(a.rank(), 2);
   ODF_CHECK_EQ(b.rank(), 2);
   const int64_t m = a.dim(0);
@@ -838,15 +756,8 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   const int64_t n = b.dim(1);
   ODF_CHECK_EQ(k, b.dim(0)) << "matmul " << a.shape().ToString() << " x "
                             << b.shape().ToString();
-  ODF_CHECK(out->shape() == Shape({m, n}));
-  MatMulRaw(a.data(), b.data(), out->data(), m, k, n);
-}
-
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  ODF_CHECK_EQ(a.rank(), 2);
-  ODF_CHECK_EQ(b.rank(), 2);
-  Tensor out(Shape({a.dim(0), b.dim(1)}));
-  MatMulInto(a, b, &out);
+  Tensor out(Shape({m, n}));
+  MatMulRaw(a.data(), b.data(), out.data(), m, k, n);
   return out;
 }
 
@@ -927,11 +838,8 @@ template void BatchMatMulRaw(const float*, int64_t, const float*, int64_t,
 template void BatchMatMulRaw(const double*, int64_t, const double*, int64_t,
                              double*, int64_t, int64_t, int64_t, int64_t);
 
-void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  if (a.rank() == 2 && b.rank() == 2) {
-    MatMulInto(a, b, out);
-    return;
-  }
+Tensor BatchMatMul(const Tensor& a, const Tensor& b) {
+  if (a.rank() == 2 && b.rank() == 2) return MatMul(a, b);
   ODF_CHECK(a.rank() == 2 || a.rank() == 3);
   ODF_CHECK(b.rank() == 2 || b.rank() == 3);
   const int64_t batch = a.rank() == 3 ? a.dim(0) : b.dim(0);
@@ -943,50 +851,19 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   const int64_t n = b.dim(-1);
   ODF_CHECK_EQ(k, b.dim(-2)) << "bmm " << a.shape().ToString() << " x "
                              << b.shape().ToString();
-  ODF_CHECK(out->shape() == Shape({batch, m, n}));
+  Tensor out(Shape({batch, m, n}));
   BatchMatMulRaw(a.data(), a.rank() == 3 ? m * k : 0, b.data(),
-                 b.rank() == 3 ? k * n : 0, out->data(), batch, m, k, n);
-}
-
-Tensor BatchMatMul(const Tensor& a, const Tensor& b) {
-  if (a.rank() == 2 && b.rank() == 2) return MatMul(a, b);
-  const int64_t batch = a.rank() == 3 ? a.dim(0) : b.dim(0);
-  Tensor out(Shape({batch, a.dim(-2), b.dim(-1)}));
-  BatchMatMulInto(a, b, &out);
+                 b.rank() == 3 ? k * n : 0, out.data(), batch, m, k, n);
   return out;
 }
 
 Tensor Transpose2D(const Tensor& a) {
   ODF_CHECK_EQ(a.rank(), 2);
-  const int64_t m = a.dim(0);
-  const int64_t n = a.dim(1);
-  Tensor out(Shape({n, m}));
-  const float* pa = a.data();
-  float* po = out.data();
-  // Cache-blocked 32x32 tiles, parallel over source row-tiles (each writes
-  // a disjoint column band of the output).
-  constexpr int64_t kTile = 32;
-  const int64_t row_tiles = (m + kTile - 1) / kTile;
-  const int64_t grain =
-      std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, kTile * n));
-  ParallelFor(row_tiles, grain, [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      const int64_t i0 = t * kTile;
-      const int64_t i1 = std::min(m, i0 + kTile);
-      for (int64_t j0 = 0; j0 < n; j0 += kTile) {
-        const int64_t j1 = std::min(n, j0 + kTile);
-        for (int64_t i = i0; i < i1; ++i) {
-          for (int64_t j = j0; j < j1; ++j) po[j * m + i] = pa[i * n + j];
-        }
-      }
-    }
-  });
-  return out;
+  return Permute(a, {1, 0});
 }
 
 Tensor TransposeLast2(const Tensor& a) {
   ODF_CHECK_GE(a.rank(), 2);
-  if (a.rank() == 2) return Transpose2D(a);
   std::vector<int64_t> perm(static_cast<size_t>(a.rank()));
   for (int64_t i = 0; i < a.rank(); ++i) perm[static_cast<size_t>(i)] = i;
   std::swap(perm[static_cast<size_t>(a.rank() - 1)],
@@ -994,51 +871,58 @@ Tensor TransposeLast2(const Tensor& a) {
   return Permute(a, perm);
 }
 
-void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
-                 Tensor* out) {
-  ODF_CHECK_EQ(static_cast<int64_t>(perm.size()), a.rank());
+template <typename S, typename D>
+void PermuteRaw(const S* pa, const Shape& shape,
+                const std::vector<int64_t>& perm, D* po) {
+  const int64_t rank = shape.rank();
+  const int64_t numel = shape.numel();
+  if (numel == 0) return;
   std::vector<int64_t> new_dims(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) new_dims[i] = a.dim(perm[i]);
-  ODF_CHECK(out->shape() == Shape(new_dims));
-  const auto in_strides = a.shape().Strides();
-  std::vector<int64_t> src_strides(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    src_strides[i] = in_strides[static_cast<size_t>(perm[i])];
-  }
-  const int64_t rank = a.rank();
-  const float* pa = a.data();
-  float* po = out->data();
+  for (size_t i = 0; i < perm.size(); ++i) new_dims[i] = shape.dim(perm[i]);
 
-  // Fast path: only the last two axes swap -> a batch of cache-blocked 2-D
-  // transposes over contiguous slices.
-  bool last2_swap = rank >= 2;
+  // Axes the permutation leaves in place at the tail are contiguous with
+  // stride 1 in both layouts: move them as one chunk.
+  int64_t chunk_rank = rank;
+  int64_t chunk = 1;
+  while (chunk_rank > 0 &&
+         perm[static_cast<size_t>(chunk_rank - 1)] == chunk_rank - 1) {
+    --chunk_rank;
+    chunk *= new_dims[static_cast<size_t>(chunk_rank)];
+  }
+  if (chunk_rank == 0) {  // identity: one straight copy
+    ParallelFor(numel, kElemGrain, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) po[i] = static_cast<D>(pa[i]);
+    });
+    return;
+  }
+
+  // Only the last two axes swap: cache-blocked 2-D transposes of each
+  // contiguous slice, one task per (slice, 32-row band); each task writes a
+  // disjoint column band of its output slice.
+  bool last2_swap = rank >= 2 &&
+                    perm[static_cast<size_t>(rank - 2)] == rank - 1 &&
+                    perm[static_cast<size_t>(rank - 1)] == rank - 2;
   for (int64_t d = 0; d < rank - 2 && last2_swap; ++d) {
     last2_swap = perm[static_cast<size_t>(d)] == d;
   }
   if (last2_swap) {
-    last2_swap = perm[static_cast<size_t>(rank - 2)] == rank - 1 &&
-                 perm[static_cast<size_t>(rank - 1)] == rank - 2;
-  }
-  if (last2_swap) {
-    const int64_t rows = a.dim(rank - 2);
-    const int64_t cols = a.dim(rank - 1);
+    const int64_t rows = shape.dim(rank - 2);
+    const int64_t cols = shape.dim(rank - 1);
     const int64_t slice = rows * cols;
-    const int64_t slices = a.numel() / std::max<int64_t>(1, slice);
     constexpr int64_t kTile = 32;
-    const int64_t grain =
-        std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, slice));
-    ParallelFor(slices, grain, [&](int64_t s0, int64_t s1) {
-      for (int64_t s = s0; s < s1; ++s) {
-        const float* src = pa + s * slice;
-        float* dst = po + s * slice;
-        for (int64_t i0 = 0; i0 < rows; i0 += kTile) {
-          const int64_t i1 = std::min(rows, i0 + kTile);
-          for (int64_t j0 = 0; j0 < cols; j0 += kTile) {
-            const int64_t j1 = std::min(cols, j0 + kTile);
-            for (int64_t i = i0; i < i1; ++i) {
-              for (int64_t j = j0; j < j1; ++j) {
-                dst[j * rows + i] = src[i * cols + j];
-              }
+    const int64_t bands = (rows + kTile - 1) / kTile;
+    const int64_t grain = std::max<int64_t>(1, kElemGrain / (kTile * cols));
+    ParallelFor(numel / slice * bands, grain, [&](int64_t t0, int64_t t1) {
+      for (int64_t t = t0; t < t1; ++t) {
+        const S* src = pa + t / bands * slice;
+        D* dst = po + t / bands * slice;
+        const int64_t i0 = t % bands * kTile;
+        const int64_t i1 = std::min(rows, i0 + kTile);
+        for (int64_t j0 = 0; j0 < cols; j0 += kTile) {
+          const int64_t j1 = std::min(cols, j0 + kTile);
+          for (int64_t i = i0; i < i1; ++i) {
+            for (int64_t j = j0; j < j1; ++j) {
+              dst[j * rows + i] = static_cast<D>(src[i * cols + j]);
             }
           }
         }
@@ -1047,86 +931,105 @@ void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
     return;
   }
 
-  ParallelElems(a.numel(), [&](int64_t begin, int64_t end) {
-    // Seed the odometer and source offset from the first flat index.
-    std::vector<int64_t> index(perm.size(), 0);
-    int64_t src = 0;
-    int64_t rem = begin;
-    for (int64_t d = rank - 1; d >= 0; --d) {
+  // General case: an odometer over the leading `chunk_rank` output axes,
+  // copying one trailing chunk per step.
+  const auto in_strides = shape.Strides();
+  std::vector<int64_t> src_strides(perm.size());
+  for (size_t i = 0; i < perm.size(); ++i) {
+    src_strides[i] = in_strides[static_cast<size_t>(perm[i])];
+  }
+  const int64_t grain = std::max<int64_t>(1, kElemGrain / chunk);
+  ParallelFor(numel / chunk, grain, [&](int64_t c0, int64_t c1) {
+    // Seed the odometer and source offset from the first chunk index.
+    std::vector<int64_t> index(static_cast<size_t>(chunk_rank), 0);
+    int64_t si = 0;
+    int64_t rem = c0;
+    for (int64_t d = chunk_rank - 1; d >= 0; --d) {
       const size_t du = static_cast<size_t>(d);
       index[du] = rem % new_dims[du];
       rem /= new_dims[du];
-      src += index[du] * src_strides[du];
+      si += index[du] * src_strides[du];
     }
-    for (int64_t flat = begin; flat < end; ++flat) {
-      po[flat] = pa[src];
-      for (int64_t d = rank - 1; d >= 0; --d) {
+    for (int64_t c = c0; c < c1; ++c) {
+      D* dst = po + c * chunk;
+      for (int64_t j = 0; j < chunk; ++j) dst[j] = static_cast<D>(pa[si + j]);
+      for (int64_t d = chunk_rank - 1; d >= 0; --d) {
         const size_t du = static_cast<size_t>(d);
         ++index[du];
-        src += src_strides[du];
+        si += src_strides[du];
         if (index[du] < new_dims[du]) break;
-        src -= src_strides[du] * new_dims[du];
+        si -= src_strides[du] * new_dims[du];
         index[du] = 0;
       }
     }
   });
 }
 
+template void PermuteRaw(const float*, const Shape&,
+                         const std::vector<int64_t>&, float*);
+template void PermuteRaw(const double*, const Shape&,
+                         const std::vector<int64_t>&, double*);
+template void PermuteRaw(const float*, const Shape&,
+                         const std::vector<int64_t>&, double*);
+
 Tensor Permute(const Tensor& a, const std::vector<int64_t>& perm) {
   ODF_CHECK_EQ(static_cast<int64_t>(perm.size()), a.rank());
   std::vector<int64_t> new_dims(perm.size());
   for (size_t i = 0; i < perm.size(); ++i) new_dims[i] = a.dim(perm[i]);
   Tensor out{Shape(new_dims)};
-  PermuteInto(a, perm, &out);
+  PermuteRaw(a.data(), a.shape(), perm, out.data());
   return out;
-}
-
-void ConcatInto(const Tensor* const* parts, size_t count, int64_t axis,
-                Tensor* out) {
-  ODF_CHECK_GT(count, 0u);
-  const Tensor& first = *parts[0];
-  if (axis < 0) axis += first.rank();
-  ODF_CHECK_GE(axis, 0);
-  ODF_CHECK_LT(axis, first.rank());
-  int64_t concat_dim = 0;
-  for (size_t p = 0; p < count; ++p) {
-    ODF_CHECK_EQ(parts[p]->rank(), first.rank());
-    for (int64_t d = 0; d < first.rank(); ++d) {
-      if (d != axis) {
-        ODF_CHECK_EQ(parts[p]->dim(d), first.dim(d));
-      }
-    }
-    concat_dim += parts[p]->dim(axis);
-  }
-  std::vector<int64_t> dims = first.shape().dims();
-  dims[static_cast<size_t>(axis)] = concat_dim;
-  ODF_CHECK(out->shape() == Shape(dims));
-  ConcatRaw(
-      parts, count, axis, [&](size_t p) { return parts[p]->data(); },
-      out->data());
 }
 
 Tensor Concat(const std::vector<Tensor>& parts, int64_t axis) {
   ODF_CHECK(!parts.empty());
   const Tensor& first = parts.front();
-  const int64_t resolved = axis < 0 ? axis + first.rank() : axis;
-  ODF_CHECK_GE(resolved, 0);
-  ODF_CHECK_LT(resolved, first.rank());
+  if (axis < 0) axis += first.rank();
+  ODF_CHECK_GE(axis, 0);
+  ODF_CHECK_LT(axis, first.rank());
   int64_t concat_dim = 0;
   std::vector<const Tensor*> ptrs(parts.size());
   for (size_t p = 0; p < parts.size(); ++p) {
+    ODF_CHECK_EQ(parts[p].rank(), first.rank());
+    for (int64_t d = 0; d < first.rank(); ++d) {
+      if (d != axis) {
+        ODF_CHECK_EQ(parts[p].dim(d), first.dim(d));
+      }
+    }
     ptrs[p] = &parts[p];
-    concat_dim += parts[p].dim(resolved);
+    concat_dim += parts[p].dim(axis);
   }
   std::vector<int64_t> dims = first.shape().dims();
-  dims[static_cast<size_t>(resolved)] = concat_dim;
+  dims[static_cast<size_t>(axis)] = concat_dim;
   Tensor out{Shape(dims)};
-  ConcatInto(ptrs.data(), ptrs.size(), resolved, &out);
+  ConcatRaw(
+      ptrs.data(), ptrs.size(), axis,
+      [&](size_t p) { return parts[p].data(); }, out.data());
   return out;
 }
 
-void SliceInto(const Tensor& a, int64_t axis, int64_t start, int64_t len,
-               Tensor* out) {
+template <typename T>
+void SliceRaw(const T* pa, const Shape& shape, int64_t axis, int64_t start,
+              int64_t len, T* po) {
+  if (axis < 0) axis += shape.rank();
+  int64_t outer = 1;
+  for (int64_t d = 0; d < axis; ++d) outer *= shape.dim(d);
+  int64_t inner = 1;
+  for (int64_t d = axis + 1; d < shape.rank(); ++d) inner *= shape.dim(d);
+  const int64_t src_row = shape.dim(axis) * inner;
+  const int64_t dst_row = len * inner;
+  for (int64_t o = 0; o < outer; ++o) {
+    const T* src = pa + o * src_row + start * inner;
+    std::copy(src, src + dst_row, po + o * dst_row);
+  }
+}
+
+template void SliceRaw(const float*, const Shape&, int64_t, int64_t, int64_t,
+                       float*);
+template void SliceRaw(const double*, const Shape&, int64_t, int64_t, int64_t,
+                       double*);
+
+Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t len) {
   if (axis < 0) axis += a.rank();
   ODF_CHECK_GE(axis, 0);
   ODF_CHECK_LT(axis, a.rank());
@@ -1135,28 +1038,8 @@ void SliceInto(const Tensor& a, int64_t axis, int64_t start, int64_t len,
   ODF_CHECK_LE(start + len, a.dim(axis));
   std::vector<int64_t> dims = a.shape().dims();
   dims[static_cast<size_t>(axis)] = len;
-  ODF_CHECK(out->shape() == Shape(dims));
-  int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= a.dim(d);
-  int64_t inner = 1;
-  for (int64_t d = axis + 1; d < a.rank(); ++d) inner *= a.dim(d);
-  const int64_t src_row = a.dim(axis) * inner;
-  const int64_t dst_row = len * inner;
-  for (int64_t o = 0; o < outer; ++o) {
-    const float* src = a.data() + o * src_row + start * inner;
-    float* dst = out->data() + o * dst_row;
-    std::copy(src, src + dst_row, dst);
-  }
-}
-
-Tensor Slice(const Tensor& a, int64_t axis, int64_t start, int64_t len) {
-  const int64_t resolved = axis < 0 ? axis + a.rank() : axis;
-  ODF_CHECK_GE(resolved, 0);
-  ODF_CHECK_LT(resolved, a.rank());
-  std::vector<int64_t> dims = a.shape().dims();
-  dims[static_cast<size_t>(resolved)] = len;
   Tensor out{Shape(dims)};
-  SliceInto(a, resolved, start, len, &out);
+  SliceRaw(a.data(), a.shape(), axis, start, len, out.data());
   return out;
 }
 
@@ -1212,7 +1095,7 @@ void SumRaw(const T* pa, const Shape& shape, int64_t axis, T* po) {
 template void SumRaw(const float*, const Shape&, int64_t, float*);
 template void SumRaw(const double*, const Shape&, int64_t, double*);
 
-void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out) {
+Tensor Sum(const Tensor& a, int64_t axis, bool keepdim) {
   if (axis < 0) axis += a.rank();
   ODF_CHECK_GE(axis, 0);
   ODF_CHECK_LT(axis, a.rank());
@@ -1223,23 +1106,8 @@ void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out) {
     dims.erase(dims.begin() + axis);
     if (dims.empty()) dims.push_back(1);
   }
-  ODF_CHECK(out->shape() == Shape(dims));
-  SumRaw(a.data(), a.shape(), axis, out->data());
-}
-
-Tensor Sum(const Tensor& a, int64_t axis, bool keepdim) {
-  const int64_t resolved = axis < 0 ? axis + a.rank() : axis;
-  ODF_CHECK_GE(resolved, 0);
-  ODF_CHECK_LT(resolved, a.rank());
-  std::vector<int64_t> dims = a.shape().dims();
-  if (keepdim) {
-    dims[static_cast<size_t>(resolved)] = 1;
-  } else {
-    dims.erase(dims.begin() + resolved);
-    if (dims.empty()) dims.push_back(1);
-  }
   Tensor out{Shape(dims)};
-  SumInto(a, resolved, keepdim, &out);
+  SumRaw(a.data(), a.shape(), axis, out.data());
   return out;
 }
 
@@ -1287,18 +1155,12 @@ void SoftmaxRowsRaw(const T* in, T* out, int64_t outer, int64_t inner) {
 template void SoftmaxRowsRaw(const float*, float*, int64_t, int64_t);
 template void SoftmaxRowsRaw(const double*, double*, int64_t, int64_t);
 
-void SoftmaxLastDimInto(const Tensor& a, Tensor* out) {
+Tensor SoftmaxLastDim(const Tensor& a) {
   ODF_CHECK_GE(a.rank(), 1);
   const int64_t inner = a.dim(-1);
   ODF_CHECK_GT(inner, 0);
-  const int64_t outer = a.numel() / inner;
-  ODF_CHECK(out->shape() == a.shape());
-  SoftmaxRowsRaw(a.data(), out->data(), outer, inner);
-}
-
-Tensor SoftmaxLastDim(const Tensor& a) {
   Tensor out(a.shape());
-  SoftmaxLastDimInto(a, &out);
+  SoftmaxRowsRaw(a.data(), out.data(), a.numel() / inner, inner);
   return out;
 }
 
@@ -1317,33 +1179,6 @@ bool AllClose(const Tensor& a, const Tensor& b, float atol) {
     if (std::fabs(a[i] - b[i]) > atol) return false;
   }
   return true;
-}
-
-void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
-                      Tensor* out) {
-  ODF_TRACE_SCOPE("kernel/", "fused_recover", "kernel");
-  static Histogram& hist =
-      MetricsRegistry::Global().GetHistogram("fused_recover.seconds");
-  ScopedTimer timer(hist);
-  if (MetricsEnabled()) {
-    static Counter& calls =
-        MetricsRegistry::Global().GetCounter("fused_recover.calls");
-    calls.Add(1);
-  }
-  ODF_CHECK_EQ(r.rank(), 4);
-  ODF_CHECK_EQ(c.rank(), 4);
-  const int64_t b = r.dim(0);
-  const int64_t n = r.dim(1);
-  const int64_t beta = r.dim(2);
-  const int64_t k = r.dim(3);
-  ODF_CHECK_EQ(c.dim(0), b);
-  ODF_CHECK_EQ(c.dim(1), beta);
-  const int64_t m = c.dim(2);
-  ODF_CHECK_EQ(c.dim(3), k);
-  ODF_CHECK(out->shape() == Shape({b, n, m, k}));
-  ODF_CHECK_GT(k, 0);
-  FusedRecoverRaw(r.data(), c.data(), temperature, out->data(), b, n, m,
-                  beta, k);
 }
 
 namespace {
@@ -1437,10 +1272,29 @@ template void FusedRecoverRaw(const double*, const double*, double, double*,
                               int64_t, int64_t, int64_t, int64_t, int64_t);
 
 Tensor FusedRecover(const Tensor& r, const Tensor& c, float temperature) {
+  ODF_TRACE_SCOPE("kernel/", "fused_recover", "kernel");
+  static Histogram& hist =
+      MetricsRegistry::Global().GetHistogram("fused_recover.seconds");
+  ScopedTimer timer(hist);
+  if (MetricsEnabled()) {
+    static Counter& calls =
+        MetricsRegistry::Global().GetCounter("fused_recover.calls");
+    calls.Add(1);
+  }
   ODF_CHECK_EQ(r.rank(), 4);
   ODF_CHECK_EQ(c.rank(), 4);
-  Tensor out(Shape({r.dim(0), r.dim(1), c.dim(2), r.dim(3)}));
-  FusedRecoverInto(r, c, temperature, &out);
+  const int64_t b = r.dim(0);
+  const int64_t n = r.dim(1);
+  const int64_t beta = r.dim(2);
+  const int64_t k = r.dim(3);
+  ODF_CHECK_EQ(c.dim(0), b);
+  ODF_CHECK_EQ(c.dim(1), beta);
+  const int64_t m = c.dim(2);
+  ODF_CHECK_EQ(c.dim(3), k);
+  ODF_CHECK_GT(k, 0);
+  Tensor out(Shape({b, n, m, k}));
+  FusedRecoverRaw(r.data(), c.data(), temperature, out.data(), b, n, m, beta,
+                  k);
   return out;
 }
 

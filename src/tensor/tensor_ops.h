@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "util/thread_pool.h"
 
 // Fused multiply-add pinned to the build's scalar contraction policy. On
 // targets with hardware FMA, `-ffp-contract` fuses scalar `a*b + c` into one
@@ -132,33 +133,6 @@ float SquaredNorm(const Tensor& a);
 /// True when shapes match and elements differ by at most `atol`.
 bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f);
 
-// -- Preallocated-output variants ----------------------------------------
-//
-// Each `FooInto` writes Foo's result into `*out`, which must already hold
-// the exact result shape; the kernel allocates no output storage (internal
-// scratch such as GEMM packing buffers may still allocate). The allocating
-// entry points above delegate to these, so the loop bodies — and therefore
-// the floating-point results — are identical on both paths. Unary, scalar
-// and same-shape binary kernels may alias `out` with an input (reads are
-// element-aligned with the write); layout and matrix kernels must not.
-
-void AddInto(const Tensor& a, const Tensor& b, Tensor* out);
-void MulInto(const Tensor& a, const Tensor& b, Tensor* out);
-void AddScalarInto(const Tensor& a, float s, Tensor* out);
-void MulScalarInto(const Tensor& a, float s, Tensor* out);
-void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
-void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
-void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
-                 Tensor* out);
-/// Concatenates `count` tensors (given as a pointer array so callers on the
-/// serving hot path need no temporary vector) along `axis`.
-void ConcatInto(const Tensor* const* parts, size_t count, int64_t axis,
-                Tensor* out);
-void SliceInto(const Tensor& a, int64_t axis, int64_t start, int64_t len,
-               Tensor* out);
-void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out);
-void SoftmaxLastDimInto(const Tensor& a, Tensor* out);
-
 // -- Prepacked GEMM (compiled-inference weights) --------------------------
 //
 // The blocked GEMM packs its right operand into j-tile-major panels on
@@ -207,14 +181,118 @@ void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
 void GemmRawInto(const double* a, const double* b, double* out, int64_t m,
                  int64_t k, int64_t n);
 
-// -- Width-parameterized raw kernels (precision-lowered serving) -----------
+// -- Width-parameterized raw kernels (one core per op) ----------------------
 //
-// The compiled serving path (serve/forward_plan.h) runs one interpreter at
-// either precision. These raw entry points are the scalar-templated cores
-// the fp32 Tensor kernels above are built from, so the fp32 plan runs the
-// tape's exact loops and the fp64 plan replays them over double arenas with
-// no per-call conversions. Instantiated for float and double in
-// tensor_ops.cc (ConcatRaw, header-only, for any T).
+// Every op that both the autograd tape and the compiled serving plan
+// (serve/forward_plan.h) run has exactly one core here: a scalar-templated
+// raw-pointer kernel. The float Tensor entry points above validate shapes,
+// allocate the result and call it; the plan calls the same core over its
+// own-width arena (fp32 or fp64) with no per-call conversions. So the fp32
+// plan runs the tape's exact loops, and plan-vs-tape bit identity is
+// structural. Each core picks its fast path from its input, never from an
+// option. Header templates take any functor; the rest are instantiated for
+// float and double in tensor_ops.cc.
+
+/// Minimum elements per chunk for elementwise/layout kernels; below
+/// `kElemGrain` total the dispatch overhead outweighs the loop (ParallelFor
+/// then runs inline).
+inline constexpr int64_t kElemGrain = 1 << 14;
+
+/// out[i] = fn(a[i]) over `n` elements: the loop every elementwise unary and
+/// scalar op runs. `out` may alias `a`.
+template <typename T, typename Fn>
+void UnaryRaw(const T* a, T* out, int64_t n, Fn fn) {
+  ParallelFor(n, kElemGrain, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) out[i] = fn(a[i]);
+  });
+}
+
+/// True when `b` broadcasts to `out` along leading axes only: `b`'s dims,
+/// leading 1s dropped, are the trailing dims of `out` (a bias row).
+bool BroadcastsAsRows(const Shape& b, const Shape& out);
+
+/// `shape`'s row-major strides laid out against an `out_rank`-dim broadcast
+/// result: right-aligned, 0 on broadcast (size-1 or missing) axes.
+std::vector<int64_t> BroadcastStrides(const Shape& shape, int64_t out_rank);
+
+/// out = fn(a, b) with NumPy-style broadcasting; `as`/`bs` are the operand
+/// shapes and `os` = BroadcastShape(as, bs). Each element is one fn
+/// application, so every path writes the same bits: equal shapes run one
+/// flat loop, a `b` repeated over `a`'s leading axes runs a row loop, and
+/// anything else walks a stride-0 odometer seeded per chunk. Equal-shape
+/// calls may alias `out` with an input.
+template <typename T, typename Fn>
+void BroadcastBinaryRaw(const T* a, const Shape& as, const T* b,
+                        const Shape& bs, T* out, const Shape& os, Fn fn) {
+  if (as == bs) {
+    ParallelFor(os.numel(), kElemGrain, [&](int64_t begin, int64_t end) {
+      for (int64_t i = begin; i < end; ++i) out[i] = fn(a[i], b[i]);
+    });
+    return;
+  }
+  if (as == os && BroadcastsAsRows(bs, os)) {
+    const int64_t cols = bs.numel();
+    const int64_t grain = std::max<int64_t>(1, kElemGrain / cols);
+    ParallelFor(os.numel() / cols, grain, [&](int64_t r0, int64_t r1) {
+      for (int64_t r = r0; r < r1; ++r) {
+        const T* ar = a + r * cols;
+        T* orow = out + r * cols;
+        for (int64_t j = 0; j < cols; ++j) orow[j] = fn(ar[j], b[j]);
+      }
+    });
+    return;
+  }
+  const int64_t rank = os.rank();
+  const std::vector<int64_t>& dims = os.dims();
+  const auto sa = BroadcastStrides(as, rank);
+  const auto sb = BroadcastStrides(bs, rank);
+  ParallelFor(os.numel(), kElemGrain, [&](int64_t begin, int64_t end) {
+    // Seed the odometer (and the broadcast source offsets) from the chunk's
+    // first flat index, then walk incrementally.
+    std::vector<int64_t> index(static_cast<size_t>(rank), 0);
+    int64_t ai = 0;
+    int64_t bi = 0;
+    int64_t rem = begin;
+    for (int64_t d = rank - 1; d >= 0; --d) {
+      const size_t du = static_cast<size_t>(d);
+      index[du] = rem % dims[du];
+      rem /= dims[du];
+      ai += index[du] * sa[du];
+      bi += index[du] * sb[du];
+    }
+    for (int64_t flat = begin; flat < end; ++flat) {
+      out[flat] = fn(a[ai], b[bi]);
+      for (int64_t d = rank - 1; d >= 0; --d) {
+        const size_t du = static_cast<size_t>(d);
+        ++index[du];
+        ai += sa[du];
+        bi += sb[du];
+        if (index[du] < dims[du]) break;
+        ai -= sa[du] * dims[du];
+        bi -= sb[du] * dims[du];
+        index[du] = 0;
+      }
+    }
+  });
+}
+
+/// Permutes `a` (row-major, dims `shape`) by `perm` into `out`, converting
+/// each element from S to D (the fp64 plan widens its float inputs this
+/// way). A permutation is a pure relabeling, so every path writes the same
+/// bytes; the path follows from `perm`: the identity is one straight copy,
+/// axes left in place at the tail are copied as contiguous chunks, a swap
+/// of the last two axes runs cache-blocked 2-D transposes, and anything
+/// else walks an odometer. Instantiated for <float, float>,
+/// <double, double> and <float, double>.
+template <typename S, typename D>
+void PermuteRaw(const S* a, const Shape& shape,
+                const std::vector<int64_t>& perm, D* out);
+
+/// Copies `len` indices starting at `start` along `axis` of `a` (dims
+/// `shape`) into `out`.
+template <typename T>
+void SliceRaw(const T* a, const Shape& shape, int64_t axis, int64_t start,
+              int64_t len, T* out);
 
 /// out[i] = σ(a[i]) / tanh(a[i]) / max(a[i], 0) over `n` elements
 /// (FastSigmoid / FastTanh). The cores behind Sigmoid, Tanh and Relu; `out`
@@ -227,7 +305,7 @@ template <typename T>
 void ReluRaw(const T* a, T* out, int64_t n);
 
 /// out (m x n) = a (m x k) · b (k x n), overwriting `out`. The core behind
-/// MatMulInto, gemm.* metrics included.
+/// MatMul, gemm.* metrics included.
 template <typename T>
 void MatMulRaw(const T* a, const T* b, T* out, int64_t m, int64_t k,
                int64_t n);
@@ -235,19 +313,19 @@ void MatMulRaw(const T* a, const T* b, T* out, int64_t m, int64_t k,
 /// out[i] = a[i] · b[i] for `batch` products of (m x k) · (k x n), where
 /// operand i starts at a + i·a_step and b + i·b_step (a step of 0
 /// broadcasts one matrix across the batch). The core behind
-/// BatchMatMulInto, batch_gemm.* metrics included.
+/// BatchMatMul, batch_gemm.* metrics included.
 template <typename T>
 void BatchMatMulRaw(const T* a, int64_t a_step, const T* b, int64_t b_step,
                     T* out, int64_t batch, int64_t m, int64_t k, int64_t n);
 
 /// Sum of `a` (row-major, dims `shape`) over `axis` into `out`, which holds
 /// shape's element count with that axis collapsed; accumulation over the
-/// axis is ascending. The core behind SumInto.
+/// axis is ascending. The core behind Sum.
 template <typename T>
 void SumRaw(const T* a, const Shape& shape, int64_t axis, T* out);
 
 /// Concatenation along `axis` of `count` parts, part p shaped like
-/// `*shapes[p]` with its elements at `data(p)`. The core behind ConcatInto;
+/// `*shapes[p]` with its elements at `data(p)`. The core behind Concat;
 /// the compiled plan passes float tensors as shape metadata and its
 /// own-width arena payloads as data.
 template <typename T, typename PartData>
@@ -285,14 +363,13 @@ void MatMulPrepackedRaw(const T* a, int64_t rows, const PackedGemmBT<T>& b,
                         T* out);
 
 /// Row-wise softmax: out[o, :] = softmax(in[o, :]) for `outer` rows of
-/// `inner` elements (max-subtracted, FastExp). The exact core behind
-/// SoftmaxLastDimInto; float instantiation is bit-identical to it.
+/// `inner` elements (max-subtracted, FastExp). The core behind
+/// SoftmaxLastDim.
 template <typename T>
 void SoftmaxRowsRaw(const T* in, T* out, int64_t outer, int64_t inner);
 
 /// FusedRecover over raw pointers: r [B,N,beta,K] ⊗ c [B,beta,N',K] →
-/// out [B,N,N',K] with softmax over K. The exact core behind
-/// FusedRecoverInto; float instantiation is bit-identical to it.
+/// out [B,N,N',K] with softmax over K. The core behind FusedRecover.
 template <typename T>
 void FusedRecoverRaw(const T* r, const T* c, T temperature, T* out,
                      int64_t b, int64_t n, int64_t m, int64_t beta,
@@ -309,8 +386,6 @@ void FusedRecoverRaw(const T* r, const T* c, T temperature, T* out,
 // disjointly across threads, so results are thread-count invariant.
 
 Tensor FusedRecover(const Tensor& r, const Tensor& c, float temperature);
-void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
-                      Tensor* out);
 
 /// Backward of FusedRecover. `y` is the forward output, `g` the upstream
 /// gradient; writes dL/dr and dL/dc (same shapes as r and c, fully

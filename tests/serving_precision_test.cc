@@ -348,7 +348,7 @@ TEST(FusedRecoverPrecisionTest, LargeMagnitudeLogitsStayFinite) {
 
 TEST(FusedRecoverPrecisionTest, FloatRawIsBitIdenticalToTensorEntryPoint) {
   // The fp32 serving plan calls FusedRecoverRaw directly; the tape calls
-  // FusedRecoverInto. Plan-vs-tape bit-identity rests on these agreeing
+  // FusedRecover. Plan-vs-tape bit-identity rests on these agreeing
   // exactly, including on the edge shapes above.
   struct Case {
     int64_t b, n, m, beta, k;
@@ -363,8 +363,7 @@ TEST(FusedRecoverPrecisionTest, FloatRawIsBitIdenticalToTensorEntryPoint) {
     Tensor ct(Shape({s.b, s.beta, s.m, s.k}));
     std::memcpy(rt.data(), r.data(), r.size() * sizeof(float));
     std::memcpy(ct.data(), c.data(), c.size() * sizeof(float));
-    Tensor want(Shape({s.b, s.n, s.m, s.k}));
-    FusedRecoverInto(rt, ct, 1.1f, &want);
+    const Tensor want = FusedRecover(rt, ct, 1.1f);
     std::vector<float> got(static_cast<size_t>(want.numel()));
     FusedRecoverRaw(r.data(), c.data(), 1.1f, got.data(), s.b, s.n, s.m,
                     s.beta, s.k);

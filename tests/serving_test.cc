@@ -28,6 +28,7 @@
 #include "core/recovery.h"
 #include "core/trainer.h"
 #include "graph/laplacian.h"
+#include "metrics/divergence.h"
 #include "nn/serialize.h"
 #include "serve/forward_plan.h"
 #include "serve/service.h"
@@ -89,6 +90,25 @@ void ExpectPlanMatchesTape(Model& model, serve::ForwardPlan& plan,
   for (size_t j = 0; j < tape.size(); ++j) {
     EXPECT_TRUE(BitIdentical(tape[j], plan.output(static_cast<int64_t>(j))))
         << "horizon step " << j << " diverged from the tape";
+  }
+}
+
+// Asserts every per-cell KL/JS/EMD between the fp64 reference `ref` and the
+// fp32 output `low` sits below the serving accuracy gate (serve/service.h).
+void ExpectWithinPrecisionGate(const Tensor& ref, const Tensor& low) {
+  ASSERT_EQ(ref.shape(), low.shape());
+  const int64_t k = ref.shape().dim(-1);
+  const float* pa = ref.data();
+  const float* pb = low.data();
+  for (int64_t c = 0; c < ref.numel() / k; ++c, pa += k, pb += k) {
+    ASSERT_LT(std::fabs(KlDivergence(pa, pb, k)),
+              serve::kPrecisionKlTolerance)
+        << "cell " << c;
+    ASSERT_LT(std::fabs(JsDivergence(pa, pb, k)),
+              serve::kPrecisionJsTolerance)
+        << "cell " << c;
+    ASSERT_LT(EarthMoversDistance(pa, pb, k), serve::kPrecisionEmdTolerance)
+        << "cell " << c;
   }
 }
 
@@ -177,6 +197,7 @@ TEST(ForwardPlanTest, MatchesTrainedCheckpointedAfAtEveryThreadCount) {
 }
 
 TEST(ForwardPlanTest, MatchesTapeOnEveryAblationVariant) {
+  PoolGuard guard;
   TestWorld world = TestWorld::Make();
   struct Variant {
     const char* name;
@@ -218,6 +239,30 @@ TEST(ForwardPlanTest, MatchesTapeOnEveryAblationVariant) {
         serve::PlanCompiler::Compile(model, world.dataset.history());
     Batch batch = world.dataset.MakeBatch({1, 6});
     ExpectPlanMatchesTape(model, plan, batch);
+
+    // The same schedule at fp64 runs the double instantiation of every
+    // core this variant uses (max / id-ordered pooling, the GRU and FC
+    // stages): thread-count invariant, and within the accuracy gate of
+    // the fp32 plan.
+    serve::ForwardPlan plan64 = serve::PlanCompiler::Compile(
+        model, world.dataset.history(), serve::Precision::kFp64);
+    std::vector<std::vector<Tensor>> outs64;
+    for (int threads : {1, 4}) {
+      ThreadPool::Global().Resize(threads);
+      plan64.Run(batch.inputs);
+      std::vector<Tensor> outs;
+      for (int64_t j = 0; j < plan64.horizon(); ++j) {
+        outs.push_back(plan64.output(j));
+      }
+      outs64.push_back(std::move(outs));
+    }
+    ASSERT_EQ(plan64.horizon(), plan.horizon());
+    for (int64_t j = 0; j < plan.horizon(); ++j) {
+      const size_t ju = static_cast<size_t>(j);
+      EXPECT_TRUE(BitIdentical(outs64[0][ju], outs64[1][ju]))
+          << "fp64 plan diverged across pool sizes at step " << j;
+      ExpectWithinPrecisionGate(outs64[0][ju], plan.output(j));
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -172,6 +173,73 @@ TEST(TensorOpsTest, PermuteMatchesManual) {
         EXPECT_EQ(p.At3(k, i, j), a.At3(i, j, k));
       }
     }
+  }
+}
+
+// Element-by-element permute: output axis i walks input axis perm[i].
+template <typename S, typename D>
+std::vector<D> ReferencePermute(const std::vector<S>& a,
+                                const std::vector<int64_t>& dims,
+                                const std::vector<int64_t>& perm) {
+  const auto in_strides = Shape(dims).Strides();
+  std::vector<D> out(a.size());
+  for (int64_t flat = 0; flat < static_cast<int64_t>(a.size()); ++flat) {
+    int64_t rem = flat;
+    int64_t src = 0;
+    for (int64_t d = static_cast<int64_t>(perm.size()) - 1; d >= 0; --d) {
+      const size_t axis = static_cast<size_t>(perm[static_cast<size_t>(d)]);
+      src += (rem % dims[axis]) * in_strides[axis];
+      rem /= dims[axis];
+    }
+    out[static_cast<size_t>(flat)] =
+        static_cast<D>(a[static_cast<size_t>(src)]);
+  }
+  return out;
+}
+
+template <typename S, typename D>
+void ExpectPermuteMatchesReference(const std::vector<int64_t>& dims,
+                                   const std::vector<int64_t>& perm) {
+  const Shape shape(dims);
+  std::vector<S> a(static_cast<size_t>(shape.numel()));
+  // Thirds are inexact in float and double alike, so widening is visible.
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<S>(i) + S(1) / S(3);
+  }
+  std::vector<D> got(a.size(), D(-1));
+  PermuteRaw(a.data(), shape, perm, got.data());
+  const std::vector<D> want = ReferencePermute<S, D>(a, dims, perm);
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << shape.ToString() << " element " << i;
+  }
+}
+
+TEST(TensorOpsTest, PermuteRawEveryPathMatchesReference) {
+  struct Case {
+    const char* path;
+    std::vector<int64_t> dims;
+    std::vector<int64_t> perm;
+  };
+  // The large cases exceed kElemGrain, so chunks seed their odometers
+  // mid-tensor on a multi-thread pool.
+  const std::vector<Case> cases = {
+      {"identity", {8, 40, 30, 3}, {0, 1, 2, 3}},
+      {"identity_rank1", {5}, {0}},
+      {"trailing_chunk", {8, 40, 30, 3}, {1, 0, 2, 3}},
+      {"trailing_chunk_short", {8, 40, 30, 3}, {2, 0, 1, 3}},
+      {"last2_swap", {8, 40, 30, 3}, {0, 1, 3, 2}},
+      {"last2_swap_tile_edges", {70, 45}, {1, 0}},
+      {"last2_swap_row_bands", {300, 100}, {1, 0}},
+      {"last2_swap_rank3", {3, 33, 65}, {0, 2, 1}},
+      {"odometer", {8, 40, 30, 3}, {3, 1, 0, 2}},
+      {"odometer_rank3", {2, 3, 4}, {2, 0, 1}},
+      {"odometer_lead_swap", {6, 5, 7}, {1, 2, 0}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.path);
+    ExpectPermuteMatchesReference<float, float>(c.dims, c.perm);
+    ExpectPermuteMatchesReference<double, double>(c.dims, c.perm);
+    ExpectPermuteMatchesReference<float, double>(c.dims, c.perm);
   }
 }
 
