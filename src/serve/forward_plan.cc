@@ -215,18 +215,17 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
       break;
     case OpKind::kChebBasis:
     case OpKind::kGraphApply: {
-      // The same kernels the tape's ChebyshevStack / ag::SpMM dispatch to
-      // (wide-layout CSR SpMM or blocked GEMM), so every tap matches the
-      // tape bit for bit at fp32.
+      // The cores the tape's ChebyshevBasis / ag::SpMM forward call, so
+      // every tap matches the tape bit for bit at fp32.
       const Tensor& x = meta(ins.a);
       const CsrMatrix& csr = ins.graph->csr();
       const GraphArrays<T> g = Graph<T>(ins);
       if (ins.kind == OpKind::kChebBasis) {
-        ChebyshevBasisWideRaw(g.dense, csr.row_ptr().data(),
-                              csr.col_idx().data(), g.values, csr.nnz(),
-                              x.dim(1), src(ins.a), x.dim(0), x.dim(2),
-                              ins.order, po, Data<T>(ins.srcs[0]),
-                              Data<T>(ins.srcs[1]), Data<T>(ins.srcs[2]));
+        ChebyshevBasisRaw(g.dense, csr.row_ptr().data(), csr.col_idx().data(),
+                          g.values, csr.nnz(), x.dim(1), src(ins.a),
+                          x.dim(0), x.dim(2), ins.order, po,
+                          Data<T>(ins.srcs[0]), Data<T>(ins.srcs[1]),
+                          Data<T>(ins.srcs[2]));
       } else {
         GraphApplyRaw(g.dense, csr.row_ptr().data(), csr.col_idx().data(),
                       g.values, csr.nnz(), x.dim(1), src(ins.a), x.dim(0),
@@ -461,128 +460,73 @@ void PlanCompiler::EmitGraphApply(
   AddGraph(op);
 }
 
-// Mirrors GraphBasis::Stack — see nn/graph_basis.cc for the tape ops. The
-// tape's Sub(MulScalar(·, 2), prev2) recurrence combiner is replayed as
-// kMulScalar(2) + kMulScalar(−1) + kAdd, which is bitwise the same sum
-// (IEEE a − b ≡ a + (−1·b)); prev2 part buffers stay live for the final
-// concat, so the negation lands in a dedicated scratch buffer.
+// Mirrors GraphBasis::Stack — see nn/graph_basis.cc for the tape ops. Every
+// Chebyshev-style recurrence (primary basis, demand-correlation tail,
+// adaptive adjacency) is one kChebBasis instruction: its core accumulates
+// each tap exactly as the tape's composed SpMM / BatchMatMul → MulScalar(2)
+// → Sub chain does. Only diffusion composes kGraphApply taps.
 int32_t PlanCompiler::EmitBasisTaps(const nn::GraphBasis& basis, int32_t x,
                                     int32_t taps) {
   if (basis.taps() == 1) return x;  // Stack returns its input verbatim
+  const int64_t order = basis.order();
+  if (basis.kind() == nn::GraphOpKind::kAdaptive) {
+    // The adjacency is frozen at compile time (weights are snapshots):
+    // softmax(relu(E_o·E_dᵀ)) computed with the tape's own kernels, then
+    // wrapped dense so the basis runs the blocked GEMM the tape's broadcast
+    // rank-2 BatchMatMul runs.
+    std::shared_ptr<const GraphOperator>& a_op = adaptive_ops_[&basis];
+    if (a_op == nullptr) {
+      a_op = GraphOperator::Make(basis.AdaptiveAdjacency(),
+                                 /*force_sparse=*/0);
+    }
+    return EmitChebTaps(a_op, x, order, taps);
+  }
   if (basis.kind() == nn::GraphOpKind::kChebyshev &&
       basis.correlation_op() == nullptr) {
-    // Single-component Chebyshev keeps the fused wide-layout kernel — the
-    // exact legacy schedule, bit-identical to ChebyshevStack.
-    return EmitChebTaps(basis.primary_op(), x, basis.order(), taps);
+    return EmitChebTaps(basis.primary_op(), x, order, taps);
   }
   const BufShape xs = ShapeOf(x);
   ODF_CHECK_EQ(xs.tail.size(), 2u);
   const int64_t n = xs.tail[0];
   const int64_t f = xs.tail[1];
-  const BufShape part_shape{xs.mult, {n, f}};
-  const int64_t order = basis.order();
   // Keyed by the taps buffer: one basis serves call sites of different
   // feature widths (gate stack vs output head), which must not share parts.
   std::vector<int32_t>& s = basis_scratch_[taps];
   std::vector<int32_t> srcs;
-  switch (basis.kind()) {
-    case nn::GraphOpKind::kChebyshev: {
-      // Fused main component ∥ correlation tail (taps 2..order; tap 1 is
-      // the shared identity x), exactly the tape's part list.
-      const int64_t tail = order - 1;
-      if (s.empty()) {
-        s.push_back(NewBuf({xs.mult, {n, order * f}}));  // 0: fused main
-        for (int64_t i = 0; i <= tail; ++i) {
-          s.push_back(NewBuf(part_shape));  // 1..tail: parts; last: −prev2
-        }
+  if (basis.kind() == nn::GraphOpKind::kChebyshev) {
+    // Main basis ∥ correlation taps 2..order (tap 1 is the shared identity
+    // x), exactly the tape's part list.
+    const BufShape full{xs.mult, {n, order * f}};
+    const BufShape tail{xs.mult, {n, (order - 1) * f}};
+    if (s.empty()) s = {NewBuf(full), NewBuf(full), NewBuf(tail)};
+    EmitChebTaps(basis.primary_op(), x, order, s[0]);
+    EmitChebTaps(basis.correlation_op(), x, order, s[1]);
+    Instr& slice = Emit(OpKind::kSlice, s[2], tail);
+    slice.a = s[1];
+    slice.axis = 2;
+    slice.start = f;
+    slice.len = (order - 1) * f;
+    srcs = {s[0], s[2]};
+  } else {  // kDiffusion
+    const int64_t powers = order - 1;
+    if (s.empty()) {
+      for (int64_t i = 0; i < 2 * powers; ++i) {
+        s.push_back(NewBuf({xs.mult, {n, f}}));
       }
-      EmitChebTaps(basis.primary_op(), x, order, s[0]);
-      srcs.push_back(s[0]);
-      const int32_t neg = s[static_cast<size_t>(tail) + 1];
-      EmitGraphApply(basis.correlation_op(), x, s[1]);
-      srcs.push_back(s[1]);
-      int32_t prev2 = x;
-      int32_t prev = s[1];
-      for (int64_t i = 2; i <= tail; ++i) {
-        const int32_t cur = s[static_cast<size_t>(i)];
-        EmitGraphApply(basis.correlation_op(), prev, cur);
-        Instr& twice = Emit(OpKind::kMulScalar, cur, part_shape);
-        twice.a = cur;
-        twice.scalar = 2.0f;
-        Instr& flip = Emit(OpKind::kMulScalar, neg, part_shape);
-        flip.a = prev2;
-        flip.scalar = -1.0f;
-        Instr& sub = Emit(OpKind::kAdd, cur, part_shape);
-        sub.a = cur;
-        sub.b = neg;
-        srcs.push_back(cur);
-        prev2 = prev;
-        prev = cur;
-      }
-      break;
     }
-    case nn::GraphOpKind::kDiffusion: {
-      const int64_t powers = order - 1;
-      if (s.empty()) {
-        for (int64_t i = 0; i < 2 * powers; ++i) {
-          s.push_back(NewBuf(part_shape));
-        }
-      }
-      srcs.push_back(x);
-      int32_t prev = x;
-      for (int64_t k = 0; k < powers; ++k) {
-        EmitGraphApply(basis.primary_op(), prev, s[static_cast<size_t>(k)]);
-        prev = s[static_cast<size_t>(k)];
-        srcs.push_back(prev);
-      }
-      prev = x;
-      for (int64_t k = 0; k < powers; ++k) {
-        const int32_t cur = s[static_cast<size_t>(powers + k)];
-        EmitGraphApply(basis.secondary_op(), prev, cur);
-        prev = cur;
-        srcs.push_back(prev);
-      }
-      break;
+    srcs.push_back(x);
+    int32_t prev = x;
+    for (int64_t k = 0; k < powers; ++k) {
+      EmitGraphApply(basis.primary_op(), prev, s[static_cast<size_t>(k)]);
+      prev = s[static_cast<size_t>(k)];
+      srcs.push_back(prev);
     }
-    case nn::GraphOpKind::kAdaptive: {
-      // The adjacency is frozen at compile time (weights are snapshots):
-      // softmax(relu(E_o·E_dᵀ)) computed with the tape's own kernels, then
-      // wrapped dense so kGraphApply runs the same BatchMatMul the tape's
-      // broadcast rank-2 BatchMatMul runs.
-      std::shared_ptr<const GraphOperator>& a_op = adaptive_ops_[&basis];
-      if (a_op == nullptr) {
-        a_op = GraphOperator::Make(basis.AdaptiveAdjacency(),
-                                   /*force_sparse=*/0);
-      }
-      const int64_t tail = order - 1;
-      if (s.empty()) {
-        for (int64_t i = 0; i <= tail; ++i) {
-          s.push_back(NewBuf(part_shape));  // 0..tail−1: parts; tail: −prev2
-        }
-      }
-      const int32_t neg = s[static_cast<size_t>(tail)];
-      srcs.push_back(x);
-      EmitGraphApply(a_op, x, s[0]);
-      srcs.push_back(s[0]);
-      int32_t prev2 = x;
-      int32_t prev = s[0];
-      for (int64_t i = 1; i < tail; ++i) {
-        const int32_t cur = s[static_cast<size_t>(i)];
-        EmitGraphApply(a_op, prev, cur);
-        Instr& twice = Emit(OpKind::kMulScalar, cur, part_shape);
-        twice.a = cur;
-        twice.scalar = 2.0f;
-        Instr& flip = Emit(OpKind::kMulScalar, neg, part_shape);
-        flip.a = prev2;
-        flip.scalar = -1.0f;
-        Instr& sub = Emit(OpKind::kAdd, cur, part_shape);
-        sub.a = cur;
-        sub.b = neg;
-        srcs.push_back(cur);
-        prev2 = prev;
-        prev = cur;
-      }
-      break;
+    prev = x;
+    for (int64_t k = 0; k < powers; ++k) {
+      const int32_t cur = s[static_cast<size_t>(powers + k)];
+      EmitGraphApply(basis.secondary_op(), prev, cur);
+      prev = cur;
+      srcs.push_back(prev);
     }
   }
   Instr& cat = Emit(OpKind::kConcatN, taps,

@@ -27,11 +27,11 @@ namespace odf::serve {
 /// Buffers are allocated once per batch size and reused across calls.
 ///
 /// Bit-identity: every instruction either calls the exact `odf::` tensor
-/// kernel core (its width-templated `*Raw` function) that the
-/// corresponding `ag::` op runs on the tape, or a re-layouted serving
-/// kernel (wide Chebyshev basis, prepacked GEMM, time-batched branch
-/// evaluation) that performs the identical per-element accumulation — same
-/// terms, same ascending order, same FP contraction — so `Run` reproduces
+/// kernel core (its width-templated `*Raw` function, the Chebyshev basis
+/// included) that the corresponding op runs on the tape, or a re-layouted
+/// serving kernel (prepacked GEMM, time-batched branch evaluation) that
+/// performs the identical per-element accumulation — same terms, same
+/// ascending order, same FP contraction — so `Run` reproduces
 /// `Predict` bit-for-bit at any thread count (tests/serving_test.cc asserts
 /// this on trained checkpoints).
 ///
@@ -116,8 +116,8 @@ enum class OpKind : uint8_t {
   kPermute,            // out = Permute(a, perm)
   kChebBasis,          // out = ChebyshevBasis(graph, a, order); srcs[0..2]
                        //   are the shared wide-layout scratch buffers
-  kGraphApply,         // out = graph · a (one polynomial tap; diffusion and
-                       //   adaptive bases compose these — see EmitBasisTaps)
+  kGraphApply,         // out = graph · a (one polynomial tap; the diffusion
+                       //   basis composes these — see EmitBasisTaps)
   kGraphPool,          // out = GraphPool(a, *clusters, pool)
   kRecover,            // out = FusedRecover(a, b, weights[w][0])
 };
@@ -298,12 +298,13 @@ class PlanCompiler {
   // -- module lowering (each mirrors the module's tape forward) ----------
   int32_t EmitChebTaps(const std::shared_ptr<const GraphOperator>& op,
                        int32_t x, int64_t order, int32_t taps);
-  /// GraphBasis::Stack on rank-3 `x` into `taps` [B, n, basis.taps()·F]. A
-  /// single-component Chebyshev basis takes the fused kChebBasis path
-  /// (bit-identical to the legacy schedule); every other basis composes
-  /// kGraphApply / kMulScalar / kAdd chains that replay the tape's ops
-  /// term for term. Adaptive bases snapshot softmax(relu(E_o·E_dᵀ)) at
-  /// compile time into a dense GraphOperator. Returns the taps buffer.
+  /// GraphBasis::Stack on rank-3 `x` into `taps` [B, n, basis.taps()·F].
+  /// Every Chebyshev recurrence is one kChebBasis: the primary basis, the
+  /// demand-correlation tail (its taps 2..order sliced out and concatenated
+  /// after the primary taps) and the adaptive basis, whose
+  /// softmax(relu(E_o·E_dᵀ)) is snapshotted at compile time into a dense
+  /// GraphOperator. Diffusion composes kGraphApply taps. Each matches the
+  /// tape's ops term for term. Returns the taps buffer.
   int32_t EmitBasisTaps(const nn::GraphBasis& basis, int32_t x, int32_t taps);
   /// One kGraphApply instruction: out = op · x (shapes equal).
   void EmitGraphApply(const std::shared_ptr<const GraphOperator>& op,
@@ -346,7 +347,7 @@ class PlanCompiler {
   // Weight dedup: source parameter tensor -> snapshot index in weights_.
   std::map<const Tensor*, int32_t> weight_ids_;
   int32_t wide_scratch_[3] = {-1, -1, -1};
-  // Per-site part/negation buffers of the generic EmitBasisTaps path, keyed
+  // Per-site part buffers of the multi-part EmitBasisTaps paths, keyed
   // by the taps buffer id (one basis serves call sites of different feature
   // widths, so per-basis keying would mix shapes).
   std::map<int32_t, std::vector<int32_t>> basis_scratch_;

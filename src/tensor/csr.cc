@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "tensor/tensor_ops.h"
-#include "util/env_config.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -99,7 +98,7 @@ enum class SpmmEpilogue {
 // `other` is only dereferenced by the epilogues that use it. Accumulation
 // per output element is in ascending column order of `a`, independent of
 // thread count.
-template <SpmmEpilogue kEp, bool kSerial, typename T>
+template <SpmmEpilogue kEp, typename T>
 void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const T* av,
                   int64_t rows, int64_t cols, int64_t nnz, int64_t batch,
                   int64_t f, const T* x, int64_t ldx, const T* other,
@@ -107,12 +106,7 @@ void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const T* av,
   if (f == 0 || batch == 0) return;
   const int64_t flops_per_row =
       std::max<int64_t>(1, 2 * nnz / std::max<int64_t>(1, rows) * f);
-  // kSerial callers (the compiled serving path) run the whole range inline:
-  // chunk partitioning never changes per-element results, only who computes
-  // them, so this is purely a dispatch-cost decision.
-  const int64_t grain =
-      kSerial ? batch * rows
-              : std::max<int64_t>(1, kSpmmGrainFlops / flops_per_row);
+  const int64_t grain = std::max<int64_t>(1, kSpmmGrainFlops / flops_per_row);
   ParallelFor(batch * rows, grain, [&](int64_t t0, int64_t t1) {
     T acc[kFTile];
     for (int64_t t = t0; t < t1; ++t) {
@@ -163,13 +157,13 @@ void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const T* av,
 }
 
 // CsrMatrix-facade wrapper over the raw core (float substrate path).
-template <SpmmEpilogue kEp, bool kSerial = false>
+template <SpmmEpilogue kEp>
 void SpmmTiled(const CsrMatrix& a, int64_t batch, int64_t f,
                const float* x, int64_t ldx, const float* other,
                int64_t ldother, float* out, int64_t ldo) {
-  SpmmTiledRaw<kEp, kSerial>(a.row_ptr().data(), a.col_idx().data(),
-                             a.values().data(), a.rows(), a.cols(), a.nnz(),
-                             batch, f, x, ldx, other, ldother, out, ldo);
+  SpmmTiledRaw<kEp>(a.row_ptr().data(), a.col_idx().data(),
+                    a.values().data(), a.rows(), a.cols(), a.nnz(), batch, f,
+                    x, ldx, other, ldother, out, ldo);
 }
 
 Tensor SpMM(const CsrMatrix& a, const Tensor& x) {
@@ -213,65 +207,11 @@ void CopyRows(int64_t rows, int64_t f, const float* src, int64_t ld_src,
 
 }  // namespace
 
-void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
-                        int64_t order, Tensor* out) {
-  ODF_TRACE_SCOPE("kernel/", "cheb_basis", "kernel");
-  static Histogram& cheb_hist =
-      MetricsRegistry::Global().GetHistogram("cheb_basis.seconds");
-  ScopedTimer timer(cheb_hist);
-  ODF_CHECK_GT(order, 0);
-  ODF_CHECK_EQ(x.rank(), 3);
-  const int64_t batch = x.dim(0);
-  const int64_t n = x.dim(1);
-  const int64_t f = x.dim(2);
-  ODF_CHECK_EQ(n, op.nodes());
-  ODF_CHECK(out->shape() == Shape({batch, n, order * f}));
-  const int64_t ld = order * f;
-  float* po = out->data();
-  CopyRows(batch * n, f, x.data(), f, po, ld);  // T_1 = x
-  if (order == 1 || f == 0) return;
-
-  if (op.use_sparse()) {
-    const CsrMatrix& a = op.csr();
-    // T_2 = L̂·T_1, then T_s = 2·L̂·T_{s-1} − T_{s-2}, every tap read from
-    // and written to its feature-column slice of `out` in place.
-    SpmmTiled<SpmmEpilogue::kStore>(a, batch, f, x.data(), f, nullptr, 0,
-                                    po + f, ld);
-    for (int64_t s = 2; s < order; ++s) {
-      SpmmTiled<SpmmEpilogue::kChebCombine>(a, batch, f, po + (s - 1) * f, ld,
-                                            po + (s - 2) * f, ld, po + s * f,
-                                            ld);
-    }
-    return;
-  }
-
-  // Dense path: the blocked GEMM needs contiguous operands, so keep the two
-  // most recent taps in contiguous buffers and fuse the 2·(L̂T) − T_{s-2}
-  // combine with the write into the slice.
-  Tensor prev2 = x;                          // T_{s-2}, contiguous
-  Tensor prev = BatchMatMul(op.dense(), x);  // T_{s-1}, contiguous
-  CopyRows(batch * n, f, prev.data(), f, po + f, ld);
-  for (int64_t s = 2; s < order; ++s) {
-    const Tensor lt = BatchMatMul(op.dense(), prev);
-    Tensor cur(Shape({batch, n, f}));
-    const float* plt = lt.data();
-    const float* pp2 = prev2.data();
-    float* pc = cur.data();
-    ParallelFor(batch * n * f, kSpmmGrainFlops, [&](int64_t e0, int64_t e1) {
-      for (int64_t e = e0; e < e1; ++e) pc[e] = 2.0f * plt[e] - pp2[e];
-    });
-    CopyRows(batch * n, f, pc, f, po + s * f, ld);
-    prev2 = std::move(prev);
-    prev = std::move(cur);
-  }
-}
-
 template <typename T>
-void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
-                           const int32_t* col_idx, const T* values,
-                           int64_t nnz, int64_t n, const T* x, int64_t batch,
-                           int64_t f, int64_t order, T* out, T* w0, T* w1,
-                           T* w2) {
+void ChebyshevBasisRaw(const T* dense, const int64_t* row_ptr,
+                       const int32_t* col_idx, const T* values, int64_t nnz,
+                       int64_t n, const T* x, int64_t batch, int64_t f,
+                       int64_t order, T* out, T* w0, T* w1, T* w2) {
   const int64_t ld = order * f;
   const T* px = x;
   T* po = out;
@@ -332,9 +272,9 @@ void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
     // register-tile accumulator block hot — far higher throughput than the
     // row-chained SpMM on a dense operator. Zero-skip transparency plus the
     // shared fused-accumulation policy (ODF_FMADD) makes the result bit-
-    // identical to the CSR path. The 2·(L̂T) − T_{s-2} combine runs as a
-    // separate in-place pass; 2·x is exact, so the subtraction rounds once
-    // either way and matches the SpMM's fused epilogue bit-for-bit.
+    // identical to the CSR path. The 2·(L̂T) − T_{s-2} combine follows the
+    // GEMM; 2·x is exact, so the subtraction rounds once and matches both
+    // the SpMM's fused epilogue and a composed MulScalar(2) → Sub.
     for (int64_t s = 1; s < order; ++s) {
       T* cur = bufs[s % 3];
       std::fill(cur, cur + n * wide, T(0));
@@ -365,34 +305,49 @@ void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
     return;
   }
 
-  SpmmTiledRaw<SpmmEpilogue::kStore, /*kSerial=*/true>(
+  SpmmTiledRaw<SpmmEpilogue::kStore>(
       row_ptr, col_idx, values, n, n, nnz, 1, wide, tap0(), wide,
       static_cast<const T*>(nullptr), 0, bufs[1], wide);
   scatter(bufs[1], 1);
   for (int64_t s = 2; s < order; ++s) {
-    SpmmTiledRaw<SpmmEpilogue::kChebCombine, /*kSerial=*/true>(
+    SpmmTiledRaw<SpmmEpilogue::kChebCombine>(
         row_ptr, col_idx, values, n, n, nnz, 1, wide, bufs[(s - 1) % 3],
         wide, s == 2 ? tap0() : bufs[(s - 2) % 3], wide, bufs[s % 3], wide);
     scatter(bufs[s % 3], s);
   }
 }
 
-template void ChebyshevBasisWideRaw(const float*, const int64_t*,
-                                    const int32_t*, const float*, int64_t,
-                                    int64_t, const float*, int64_t, int64_t,
-                                    int64_t, float*, float*, float*, float*);
-template void ChebyshevBasisWideRaw(const double*, const int64_t*,
-                                    const int32_t*, const double*, int64_t,
-                                    int64_t, const double*, int64_t, int64_t,
-                                    int64_t, double*, double*, double*,
-                                    double*);
+template void ChebyshevBasisRaw(const float*, const int64_t*, const int32_t*,
+                                const float*, int64_t, int64_t, const float*,
+                                int64_t, int64_t, int64_t, float*, float*,
+                                float*, float*);
+template void ChebyshevBasisRaw(const double*, const int64_t*, const int32_t*,
+                                const double*, int64_t, int64_t,
+                                const double*, int64_t, int64_t, int64_t,
+                                double*, double*, double*, double*);
 
 Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x,
                       int64_t order) {
+  ODF_TRACE_SCOPE("kernel/", "cheb_basis", "kernel");
+  static Histogram& cheb_hist =
+      MetricsRegistry::Global().GetHistogram("cheb_basis.seconds");
+  ScopedTimer timer(cheb_hist);
   ODF_CHECK_GT(order, 0);
   ODF_CHECK_EQ(x.rank(), 3);
-  Tensor out(Shape({x.dim(0), x.dim(1), order * x.dim(2)}));
-  ChebyshevBasisInto(op, x, order, &out);
+  const int64_t batch = x.dim(0);
+  const int64_t n = x.dim(1);
+  const int64_t f = x.dim(2);
+  ODF_CHECK_EQ(n, op.nodes());
+  Tensor out(Shape({batch, n, order * f}));
+  const int64_t work = batch * n * f;
+  auto scratch = std::make_unique_for_overwrite<float[]>(
+      static_cast<size_t>(3 * work));
+  const CsrMatrix& csr = op.csr();
+  ChebyshevBasisRaw(op.use_sparse() ? nullptr : op.dense().data(),
+                    csr.row_ptr().data(), csr.col_idx().data(),
+                    csr.values().data(), csr.nnz(), n, x.data(), batch, f,
+                    order, out.data(), scratch.get(), scratch.get() + work,
+                    scratch.get() + 2 * work);
   return out;
 }
 
@@ -483,10 +438,7 @@ void GraphApplyRaw(const T* dense, const int64_t* row_ptr,
     BatchMatMulRaw(dense, 0, x, n * f, out, batch, n, n, f);
     return;
   }
-  // Serial dispatch: the compiled serving path runs whole plans on one
-  // thread. Chunking never changes per-element sums (ascending column
-  // order), so this matches the tape's parallel odf::SpMM bit for bit.
-  SpmmTiledRaw<SpmmEpilogue::kStore, /*kSerial=*/true>(
+  SpmmTiledRaw<SpmmEpilogue::kStore>(
       row_ptr, col_idx, values, n, n, nnz, batch, f, x, f,
       static_cast<const T*>(nullptr), 0, out, f);
 }
@@ -507,17 +459,9 @@ std::shared_ptr<const GraphOperator> GraphOperator::Make(Tensor dense,
   op->csr_ = CsrMatrix::FromDense(op->dense_);
   op->csr_t_ = op->csr_.Transpose();
   op->dense_t_ = Transpose2D(op->dense_);
-  int mode = force_sparse;
-  if (mode < 0) {
-    mode = static_cast<int>(GetEnvInt("ODF_SPARSE_GRAPH", -1));
-  }
-  if (mode == 0) {
-    op->use_sparse_ = false;
-  } else if (mode >= 1) {
-    op->use_sparse_ = true;
-  } else {
-    op->use_sparse_ = op->csr_.Density() <= kSparseDensityThreshold;
-  }
+  op->use_sparse_ = force_sparse < 0
+                       ? op->csr_.Density() <= kSparseDensityThreshold
+                       : force_sparse >= 1;
   return op;
 }
 

@@ -65,42 +65,37 @@ class GraphOperator;
 /// Fused Chebyshev basis of a graph operator: for x [B, n, F] computes all
 /// `order` taps of the recurrence T_1 = x, T_2 = L̂x, T_s = 2·L̂·T_{s-1} −
 /// T_{s-2} directly into one [B, n, order·F] tensor (tap s occupies feature
-/// columns [s·F, (s+1)·F)). One kernel launch per tap — no intermediate
-/// tensors, concat or elementwise passes — on the CSR or dense path chosen
-/// by `op`. Deterministic for every thread count.
+/// columns [s·F, (s+1)·F)), on the CSR or dense path chosen by `op`. The
+/// tape's entry point: allocates the output and the scratch of
+/// ChebyshevBasisRaw and calls it. Deterministic for every thread count.
 Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x, int64_t order);
 
-/// ChebyshevBasis into a preallocated [B, n, order·F] output (the serving
-/// path's arena buffers); shares the kernel above, so results are
-/// bit-identical to it.
-void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
-                        int64_t order, Tensor* out);
-
-/// ChebyshevBasis in node-major ("wide") layout for the compiled serving
-/// path, over raw arrays at either scalar width. The taps are
-/// mathematically the recurrence above, but each L̂-product runs as ONE
-/// sparse × [n, B·F] product instead of B skinny [n, F] products: x is
-/// transposed so that batch and features fuse into one wide row, the
-/// register-tiled SpMM streams full tiles, and each tap is scattered back
-/// into `out` [B, n, order·F]. Per output element the accumulation is still
-/// a's row in ascending column order — the identical sum, term for term, as
-/// the narrow kernels — so the float instantiation is bit-identical to
-/// ChebyshevBasisInto at every thread count (asserted by
-/// tests/serving_test.cc on trained checkpoints).
+/// The one forward kernel of the Chebyshev recurrence, over raw arrays at
+/// either scalar width: the tape's ChebyshevBasis and every Chebyshev-style
+/// basis of the compiled serving plan (primary, demand-correlation tail,
+/// adaptive adjacency) call it. Each L̂-product runs as ONE graph × [n, B·F]
+/// product instead of B skinny [n, F] products: x is transposed so that
+/// batch and features fuse into one wide row, the register-tiled SpMM or
+/// blocked GEMM streams full tiles, and each tap is scattered back into
+/// `out` [B, n, order·F]. Per output element the accumulation is the
+/// graph's row in ascending column order under ODF_FMADD, and the combine
+/// 2·acc − T_{s-2} rounds once (2·x is exact) — term for term the composed
+/// SpMM / BatchMatMul → MulScalar(2) → Sub recurrence, so the result is
+/// bit-identical to it at every thread count (asserted by
+/// tests/sparse_graph_test.cc).
 ///
 /// The graph operator arrives as a snapshot: a non-null `dense` ([n, n]
 /// row-major) selects the blocked-GEMM path, otherwise the CSR triple
 /// row_ptr/col_idx/values (`nnz` non-zeros, rows in ascending column order)
-/// drives the serial tiled SpMM. `x` is [batch, n, f] row-major, `out`
-/// [batch, n, order·f]; w0/w1/w2 are caller-owned scratch of at least
-/// batch·n·f elements each (the serving arena). Runs serially and allocates
-/// nothing. Instantiated for float and double in csr.cc.
+/// drives the tiled SpMM. Both dispatch over the thread pool by work size.
+/// `x` is [batch, n, f] row-major, `out` [batch, n, order·f]; w0/w1/w2 are
+/// caller-owned scratch of at least batch·n·f elements each (the serving
+/// arena). Instantiated for float and double in csr.cc.
 template <typename T>
-void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
-                           const int32_t* col_idx, const T* values,
-                           int64_t nnz, int64_t n, const T* x, int64_t batch,
-                           int64_t f, int64_t order, T* out, T* w0, T* w1,
-                           T* w2);
+void ChebyshevBasisRaw(const T* dense, const int64_t* row_ptr,
+                       const int32_t* col_idx, const T* values, int64_t nnz,
+                       int64_t n, const T* x, int64_t batch, int64_t f,
+                       int64_t order, T* out, T* w0, T* w1, T* w2);
 
 /// Adjoint of ChebyshevBasis: given dY [B, n, order·F], returns dX [B, n, F]
 /// by running the recurrence in reverse with L̂ᵀ.
@@ -109,13 +104,13 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
 
 /// Single graph application out = op · x over raw arrays at either scalar
 /// width — one polynomial tap of the compiled serving path (serve
-/// kGraphApply, used by the diffusion and adaptive bases). The operator
-/// arrives as in ChebyshevBasisWideRaw: a non-null `dense` ([n, n]
-/// row-major) selects the batched blocked GEMM, otherwise the CSR triple
-/// row_ptr/col_idx/values drives the serial tiled SpMM. `x` and `out` are
-/// [batch, n, f] row-major. Runs the same per-element accumulation as
-/// ag::SpMM's forward, so the float instantiation is bit-identical to the
-/// tape at every thread count. Instantiated for float and double.
+/// kGraphApply, used by the diffusion basis). The operator arrives as in
+/// ChebyshevBasisRaw: a non-null `dense` ([n, n] row-major) selects the
+/// batched blocked GEMM, otherwise the CSR triple row_ptr/col_idx/values
+/// drives the tiled SpMM. `x` and `out` are [batch, n, f] row-major. Runs
+/// the same per-element accumulation as ag::SpMM's forward, so the float
+/// instantiation is bit-identical to the tape at every thread count.
+/// Instantiated for float and double.
 template <typename T>
 void GraphApplyRaw(const T* dense, const int64_t* row_ptr,
                    const int32_t* col_idx, const T* values, int64_t nnz,
@@ -127,16 +122,14 @@ void GraphApplyRaw(const T* dense, const int64_t* row_ptr,
 /// encoder/decoder cell and output head applying the same graph shares one
 /// GraphOperator instead of carrying its own dense copy.
 ///
-/// Path selection: `force_sparse` > the ODF_SPARSE_GRAPH environment
-/// variable (0 = dense, 1 = sparse) > automatic (sparse iff density ≤
-/// kSparseDensityThreshold).
+/// Path selection: `force_sparse` when given, else automatic (sparse iff
+/// density ≤ kSparseDensityThreshold).
 class GraphOperator {
  public:
   /// Above this density the dense blocked GEMM outruns the CSR kernel.
   static constexpr double kSparseDensityThreshold = 0.25;
 
-  /// `force_sparse`: -1 = auto (env override, then density), 0 = dense,
-  /// 1 = sparse.
+  /// `force_sparse`: -1 = auto (by density), 0 = dense, 1 = sparse.
   static std::shared_ptr<const GraphOperator> Make(Tensor dense,
                                                    int force_sparse = -1);
 

@@ -259,8 +259,12 @@ TEST(GraphBasisTest, StackBitIdenticalAcrossThreadCounts) {
 // Serving parity: every operator family trains the same plan contract.
 // ---------------------------------------------------------------------
 
-TEST(GraphBasisServingTest, PlanMatchesTapeForEveryGraphOp) {
-  DatasetSpec spec = MakeNycLike(3, 3, /*num_days=*/4,
+// Compiles every graph family on a grid × grid city and checks the plan
+// against the tape (fp32 bit for bit, fp64 within gate and bit-identical
+// across thread counts).
+void ExpectPlanMatchesTapeForEveryGraphOp(int grid) {
+  SCOPED_TRACE(::testing::Message() << grid << "x" << grid << " grid");
+  DatasetSpec spec = MakeNycLike(grid, grid, /*num_days=*/4,
                                  /*interval_minutes=*/60);
   spec.config.mean_trips_per_interval = 120;
   TripGenerator gen(spec.graph, spec.config);
@@ -356,6 +360,13 @@ TEST(GraphBasisServingTest, PlanMatchesTapeForEveryGraphOp) {
       }
     }
   }
+}
+
+// The 6×6 grid (n = 36) runs every Chebyshev basis, correlation tail and
+// adaptive basis through larger, blocked GEMM shapes than the 3×3 grid.
+TEST(GraphBasisServingTest, PlanMatchesTapeForEveryGraphOp) {
+  ExpectPlanMatchesTapeForEveryGraphOp(3);
+  ExpectPlanMatchesTapeForEveryGraphOp(6);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // Chebyshev graph layers on random α-thresholded graphs.
 
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -340,21 +342,13 @@ TEST(GraphOperatorTest, PathSelectionPolicy) {
   // Explicit force beats density.
   EXPECT_FALSE(GraphOperator::Make(sparse_lap, 0)->use_sparse());
   EXPECT_TRUE(GraphOperator::Make(dense_lap, 1)->use_sparse());
-
-  // Environment override beats density but loses to explicit force.
-  ::setenv("ODF_SPARSE_GRAPH", "0", 1);
-  EXPECT_FALSE(GraphOperator::Make(sparse_lap)->use_sparse());
-  EXPECT_TRUE(GraphOperator::Make(sparse_lap, 1)->use_sparse());
-  ::setenv("ODF_SPARSE_GRAPH", "1", 1);
-  EXPECT_TRUE(GraphOperator::Make(dense_lap)->use_sparse());
-  ::unsetenv("ODF_SPARSE_GRAPH");
 }
 
 // -- Raw serving kernels under gradcheck -----------------------------------
 //
 // The precision-lowered serving plan replays training math through raw
 // width-parameterized kernels (GemmRawInto, FusedRecoverRaw, and
-// ChebyshevBasisWideRaw, whose sparse branch drives SpmmTiledRaw). Each
+// ChebyshevBasisRaw, whose sparse branch drives SpmmTiledRaw). Each
 // gradcheck objective below recomputes the raw kernel at every finite-
 // difference evaluation point and asserts it is bit-identical to the tape
 // forward, so the raw paths are pinned to the differentiated ops across a
@@ -404,37 +398,84 @@ TEST(RawKernelGradCheckTest, FusedRecoverRawBitIdenticalToTapeFusedRecover) {
                          << result.max_abs_error;
 }
 
-// The dense branch pins the wide basis to the blocked-GEMM path; the sparse
-// branch (force_sparse=1) drives the serial tiled SpMM (SpmmTiledRaw).
-TEST(RawKernelGradCheckTest, ChebyshevBasisWideRawBitIdenticalToTapeBasis) {
+// The Chebyshev recurrence composed from generic tape ops — T_2 = L̂x, then
+// T_s = 2·L̂·T_{s-1} − T_{s-2} through ag::SpMM → MulScalar(2) → Sub — as
+// the tape's demand-correlation tail runs it.
+Tensor ComposedChebyshevBasis(const std::shared_ptr<const GraphOperator>& op,
+                              const Tensor& x, int64_t order) {
+  std::vector<ag::Var> parts{ag::Var::Constant(x)};
+  parts.push_back(ag::SpMM(op, parts[0]));
+  for (int64_t s = 3; s <= order; ++s) {
+    ag::Var cur = ag::Sub(ag::MulScalar(ag::SpMM(op, parts.back()), 2.0f),
+                          parts[parts.size() - 2]);
+    parts.push_back(cur);
+  }
+  return ag::Concat(parts, 2).value();
+}
+
+// ChebyshevBasisRaw — the one forward core behind the tape's ChebyshevBasis
+// and every kChebBasis of the compiled plan — is bit-identical to the
+// composed recurrence, which is the contract that lets the plan replace the
+// tape's composed correlation tail and adaptive basis with it. The dense
+// branch runs the blocked GEMM over [n, B·F] where the composed side runs
+// B products of [n, F] (different GEMM branches; n = 300 crosses a K
+// block); the sparse branch (force_sparse=1) drives SpmmTiledRaw.
+TEST(RawKernelGradCheckTest, ChebyshevBasisRawBitIdenticalToComposedRecurrence) {
   Rng rng(33);
-  const int64_t n = 5, f = 2, batch = 2, order = 3;
-  Tensor lap =
-      ScaledLaplacian(Laplacian(RandomThresholdedWeights(n, 0.4, rng)));
-  for (const int force : {0, 1}) {
-    auto op = GraphOperator::Make(lap, force);
-    std::vector<ag::Var> inputs = {
-        ag::Var(Tensor::RandomNormal(Shape({batch, n, f}), rng),
-                /*requires_grad=*/true)};
-    auto fn = [&](const std::vector<ag::Var>& in) {
-      ag::Var y = ag::ChebyshevBasis(op, in[0], order);
-      Tensor raw(Shape({batch, n, order * f}));
-      Tensor w0(Shape({batch * n * f}));
-      Tensor w1(Shape({batch * n * f}));
-      Tensor w2(Shape({batch * n * f}));
-      const CsrMatrix& csr = op->csr();
-      ChebyshevBasisWideRaw<float>(
-          op->use_sparse() ? nullptr : op->dense().data(),
-          csr.row_ptr().data(), csr.col_idx().data(), csr.values().data(),
-          csr.nnz(), n, in[0].value().data(), batch, f, order, raw.data(),
-          w0.data(), w1.data(), w2.data());
-      EXPECT_TRUE(BitIdentical(raw, y.value()));
-      return ag::SumAll(ag::Square(y));
-    };
-    auto result = ag::GradCheck(fn, inputs, /*eps=*/1e-3, /*tol=*/2e-2);
-    EXPECT_TRUE(result.ok) << "force_sparse=" << force << " element "
-                           << result.worst_element << " err "
-                           << result.max_abs_error;
+  const int64_t order = 4;
+  {
+    const int64_t n = 5, f = 2, batch = 2;
+    Tensor lap =
+        ScaledLaplacian(Laplacian(RandomThresholdedWeights(n, 0.4, rng)));
+    for (const int force : {0, 1}) {
+      auto op = GraphOperator::Make(lap, force);
+      std::vector<ag::Var> inputs = {
+          ag::Var(Tensor::RandomNormal(Shape({batch, n, f}), rng),
+                  /*requires_grad=*/true)};
+      auto fn = [&](const std::vector<ag::Var>& in) {
+        ag::Var y = ag::ChebyshevBasis(op, in[0], order);
+        Tensor raw(Shape({batch, n, order * f}));
+        Tensor w0(Shape({batch * n * f}));
+        Tensor w1(Shape({batch * n * f}));
+        Tensor w2(Shape({batch * n * f}));
+        const CsrMatrix& csr = op->csr();
+        ChebyshevBasisRaw<float>(
+            op->use_sparse() ? nullptr : op->dense().data(),
+            csr.row_ptr().data(), csr.col_idx().data(), csr.values().data(),
+            csr.nnz(), n, in[0].value().data(), batch, f, order, raw.data(),
+            w0.data(), w1.data(), w2.data());
+        EXPECT_TRUE(BitIdentical(raw, y.value()));
+        EXPECT_TRUE(BitIdentical(
+            y.value(), ComposedChebyshevBasis(op, in[0].value(), order)));
+        return ag::SumAll(ag::Square(y));
+      };
+      auto result = ag::GradCheck(fn, inputs, /*eps=*/1e-3, /*tol=*/2e-2);
+      EXPECT_TRUE(result.ok) << "force_sparse=" << force << " element "
+                             << result.worst_element << " err "
+                             << result.max_abs_error;
+    }
+  }
+
+  PoolGuard guard;
+  for (const int64_t n : {9, 36, 70, 300}) {
+    Tensor lap =
+        ScaledLaplacian(Laplacian(RandomThresholdedWeights(n, 0.3, rng)));
+    for (const int force : {0, 1}) {
+      auto op = GraphOperator::Make(lap, force);
+      for (const int64_t batch : {1, 3, 16}) {
+        for (const int64_t f : {3, 21, 40}) {
+          const Tensor x = Tensor::RandomNormal(Shape({batch, n, f}), rng);
+          for (const int threads : {1, 4}) {
+            ThreadPool::Global().Resize(threads);
+            EXPECT_TRUE(BitIdentical(ChebyshevBasis(*op, x, order),
+                                     ComposedChebyshevBasis(op, x, order)))
+                << "n=" << n << " force_sparse=" << force
+                << " batch=" << batch << " f=" << f
+                << " threads=" << threads;
+          }
+        }
+      }
+    }
   }
 }
 
