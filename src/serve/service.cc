@@ -9,6 +9,7 @@
 #include "metrics/divergence.h"
 #include "util/env_config.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace odf::serve {
 
@@ -141,35 +142,36 @@ ForecastResult ForecastService::Forecast(int64_t sample) {
   return ForecastAsync(sample).get();
 }
 
+ForecastResult ForecastService::CachedCurrent(int64_t* sample) {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  *sample = current_;
+  if (!config_.cache_enabled) return nullptr;
+  if (cached_ != nullptr && cached_interval_ == current_ &&
+      cached_precision_ == precision()) {
+    Metrics().cache_hits.Add(1);
+    return cached_;
+  }
+  Metrics().cache_misses.Add(1);
+  return nullptr;
+}
+
+std::future<ForecastResult> ForecastService::ForecastCurrentAsync() {
+  int64_t sample = 0;
+  if (ForecastResult hit = CachedCurrent(&sample)) {
+    std::promise<ForecastResult> ready;
+    ready.set_value(std::move(hit));
+    return ready.get_future();
+  }
+  return ForecastAsync(sample);
+}
+
 ForecastResult ForecastService::ForecastCurrent() {
   ScopedTimer timer(Metrics().cached_request_seconds);
-  const Precision active = precision();
-  int64_t sample;
-  if (config_.cache_enabled) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cached_ != nullptr && cached_interval_ == current_ &&
-        cached_precision_ == active) {
-      Metrics().cache_hits.Add(1);
-      return cached_;
-    }
-    Metrics().cache_misses.Add(1);
-    sample = current_;
-  } else {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    sample = current_;
-  }
-  ForecastResult result = Forecast(sample);
-  if (config_.cache_enabled) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    // Only publish if neither the interval nor the serving precision rolled
-    // over mid-flight.
-    if (current_ == sample && precision() == active) {
-      cached_ = result;
-      cached_interval_ = sample;
-      cached_precision_ = active;
-    }
-  }
-  return result;
+  // Same as ForecastCurrentAsync().get(), without a future's shared state
+  // on the hit path.
+  int64_t sample = 0;
+  if (ForecastResult hit = CachedCurrent(&sample)) return hit;
+  return ForecastAsync(sample).get();
 }
 
 void ForecastService::SetCurrentInterval(int64_t sample) {
@@ -188,6 +190,9 @@ int64_t ForecastService::current_interval() const {
 }
 
 void ForecastService::WorkerLoop() {
+  // Plans run serially here: concurrency comes from batches and from other
+  // services' workers, not from waking the pool for every small kernel.
+  ThreadPool::RunInlineOnThisThread();
   std::vector<int64_t> samples;
   for (;;) {
     {
@@ -296,6 +301,21 @@ void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
       forecast->push_back(std::move(slice));
     }
     results.push_back(std::move(forecast));
+  }
+
+  // Publish the current interval's row to the cache before any waiter
+  // wakes, so the caller's next ForecastCurrent is a hit. Only if neither
+  // the interval nor the serving width rolled over since the batch started.
+  if (config_.cache_enabled) {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    for (size_t row = 0; row < samples.size(); ++row) {
+      if (samples[row] == current_ && precision() == active) {
+        cached_ = results[row];
+        cached_interval_ = current_;
+        cached_precision_ = active;
+        break;  // a batch's samples are distinct
+      }
+    }
   }
 
   // Fulfill outside mu_ so waiters never contend with the queue.

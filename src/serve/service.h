@@ -70,8 +70,21 @@ using ForecastResult = std::shared_ptr<const std::vector<Tensor>>;
 /// The interval cache additionally pins the forecast of the designated
 /// "current" interval: after the first miss, `ForecastCurrent` is a lock +
 /// shared_ptr copy until `SetCurrentInterval` rolls the interval over. The
-/// cache is keyed on (interval, precision), so flipping the serving
-/// precision mid-run can never hand out a stale other-precision histogram.
+/// worker fills the cache itself, before it fulfils a batch's promises,
+/// whenever a batch row's sample is the current interval and the batch ran
+/// at the current serving width; a batch that a rollover or a precision
+/// flip overtook publishes nothing. The cache is keyed on (interval,
+/// precision), so flipping the serving precision mid-run can never hand
+/// out a stale other-precision histogram. `ForecastCurrentAsync` is the
+/// non-blocking form: callers that refresh many services (ShardedService)
+/// ask every one first and collect afterwards, so their workers run at the
+/// same time.
+///
+/// Threading: the worker runs every plan serially
+/// (`ThreadPool::RunInlineOnThisThread`). A compiled plan is hundreds of
+/// microsecond-sized kernels, and waking the pool for each costs more than
+/// it saves; serving takes its concurrency from batches and from separate
+/// services instead.
 ///
 /// Precision (docs/serving.md "Precision"): the service serves from one
 /// plan at a time — `AddPlan` registers a second plan compiled at the other
@@ -123,9 +136,13 @@ class ForecastService {
   /// Enqueues a forecast of sample `sample` without blocking.
   std::future<ForecastResult> ForecastAsync(int64_t sample);
 
-  /// Forecast of the current interval's sample, served from the cache when
-  /// it is warm. The first call after a rollover or a precision flip (or
-  /// with the cache disabled) falls through to Forecast.
+  /// Forecast of the current interval's sample without blocking: a ready
+  /// future when the cache is warm, else ForecastAsync of the current
+  /// sample (the first call after a rollover or a precision flip, or any
+  /// call with the cache disabled). The worker fills the cache.
+  std::future<ForecastResult> ForecastCurrentAsync();
+
+  /// Blocking ForecastCurrentAsync; a hit is a lock + shared_ptr copy.
   ForecastResult ForecastCurrent();
 
   /// Rolls the current interval over to `sample`, invalidating the cache
@@ -139,6 +156,9 @@ class ForecastService {
  private:
   void WorkerLoop();
   void RunBatch(const std::vector<int64_t>& samples);
+  /// The cached current-interval forecast, or nullptr on a miss (or with
+  /// the cache off); `*sample` receives the current interval either way.
+  ForecastResult CachedCurrent(int64_t* sample);
   /// The registered plan compiled at `p`, or nullptr.
   ForwardPlan* PlanFor(Precision p);
 

@@ -1,6 +1,7 @@
 #include "shard/sharded_service.h"
 
 #include <algorithm>
+#include <future>
 
 #include "serve/forward_plan.h"
 #include "util/check.h"
@@ -49,6 +50,8 @@ std::vector<float> ShardedService::ForecastOd(int64_t origin,
   ODF_CHECK_LT(origin, part.num_regions);
   ODF_CHECK_GE(destination, 0);
   ODF_CHECK_LT(destination, part.num_regions);
+  ODF_CHECK_GE(step, 0);
+  ODF_CHECK_LT(step, model_->config().horizon);
   const int64_t so = part.shard_of[static_cast<size_t>(origin)];
   const int64_t sd = part.shard_of[static_cast<size_t>(destination)];
 
@@ -81,6 +84,19 @@ Tensor ShardedService::MergedForecast(int64_t step) {
       MetricsRegistry::Global().GetHistogram("shard.merge_ns");
   ScopedTimer timer(merge_ns);
   TraceScope span("shard/", "merge", "shard");
+  ODF_CHECK_GE(step, 0);
+  ODF_CHECK_LT(step, model_->config().horizon);
+
+  // Ask every unit before waiting on any, so cold units refresh in
+  // parallel on their own workers.
+  std::vector<std::future<serve::ForecastResult>> pending;
+  pending.reserve(shard_services_.size() + 1);
+  for (auto& service : shard_services_) {
+    pending.push_back(service->ForecastCurrentAsync());
+  }
+  if (boundary_service_ != nullptr) {
+    pending.push_back(boundary_service_->ForecastCurrentAsync());
+  }
 
   const ShardPartition& part = model_->partition();
   const int64_t n = part.num_regions;
@@ -91,7 +107,7 @@ Tensor ShardedService::MergedForecast(int64_t step) {
 
   for (int64_t p = 0; p < ps; ++p) {
     const serve::ForecastResult result =
-        shard_services_[static_cast<size_t>(p)]->ForecastCurrent();
+        pending[static_cast<size_t>(p)].get();
     const Tensor& tensor = (*result)[static_cast<size_t>(step)];
     const auto& members = part.members[static_cast<size_t>(p)];
     const int64_t np = static_cast<int64_t>(members.size());
@@ -107,7 +123,8 @@ Tensor ShardedService::MergedForecast(int64_t step) {
   }
 
   if (boundary_service_ != nullptr) {
-    const serve::ForecastResult result = boundary_service_->ForecastCurrent();
+    const serve::ForecastResult result =
+        pending[static_cast<size_t>(ps)].get();
     const Tensor& tensor = (*result)[static_cast<size_t>(step)];
     const float* src = tensor.data();  // [P, P, k]
     for (int64_t go = 0; go < n; ++go) {

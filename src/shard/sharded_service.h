@@ -16,7 +16,7 @@ namespace odf::shard {
 /// current-interval cache. Queries route by the partition — an OD pair
 /// inside one shard hits that shard's service, a cross-shard pair hits
 /// the boundary service — and full-city snapshots are assembled by
-/// merging every service's cached forecast.
+/// merging every service's cached forecast, refreshed concurrently.
 ///
 /// Plans are compiled at construction from the models' current weights
 /// (serve/forward_plan.h): construct after ShardedModel::Train. The model
@@ -35,15 +35,19 @@ class ShardedService {
   /// window `sample`, invalidating their interval caches together.
   void SetCurrentInterval(int64_t sample);
 
-  /// K-bucket histogram forecast for one OD pair at horizon step `step`,
-  /// served from the owning service's current-interval cache.
+  /// K-bucket histogram forecast for one OD pair at horizon step `step`
+  /// (0 <= step < horizon; regions in [0, N)), served from the owning
+  /// service's current-interval cache.
   std::vector<float> ForecastOd(int64_t origin, int64_t destination,
                                 int64_t step);
 
-  /// Full-city [N, N, K] forecast at horizon step `step`, merged from all
-  /// services' current-interval forecasts. Byte-identical to
-  /// ShardedModel::Predict of the same sample (plans reproduce Predict
-  /// bit-for-bit).
+  /// Full-city [N, N, K] forecast at horizon step `step` (0 <= step <
+  /// horizon), merged from all services' current-interval forecasts.
+  /// Refreshes the units concurrently: it asks every service for its
+  /// current forecast before waiting on any, so after a rollover the
+  /// shard and boundary workers run their plans at the same time.
+  /// Byte-identical to ShardedModel::Predict of the same sample (plans
+  /// reproduce Predict bit-for-bit).
   Tensor MergedForecast(int64_t step);
 
   int64_t num_shards() const { return model_->num_shards(); }

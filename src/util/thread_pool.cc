@@ -10,7 +10,9 @@
 namespace odf {
 namespace {
 
-thread_local bool t_in_pool_worker = false;
+// Set on pool workers and on threads marked by RunInlineOnThisThread: their
+// ParallelFor calls run inline.
+thread_local bool t_inline = false;
 
 int DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -30,7 +32,7 @@ ThreadPool::ThreadPool(int threads) { Start(threads); }
 
 ThreadPool::~ThreadPool() { Stop(); }
 
-bool ThreadPool::InWorker() { return t_in_pool_worker; }
+void ThreadPool::RunInlineOnThisThread() { t_inline = true; }
 
 void ThreadPool::Start(int threads) {
   threads_ = std::max(1, threads);
@@ -63,7 +65,7 @@ void ThreadPool::Resize(int threads) {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_in_pool_worker = true;
+  t_inline = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -80,9 +82,10 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn) {
   if (n <= 0) return;
   grain = std::max<int64_t>(1, grain);
-  // Inline when serial, when the range is too small to split, or when we
-  // are already inside a pool task (no oversubscription, no deadlock).
-  if (threads_ <= 1 || n <= grain || t_in_pool_worker) {
+  // Inline when serial, when the range is too small to split, when we are
+  // already inside a pool task (no oversubscription, no deadlock), or on a
+  // thread marked serial.
+  if (threads_ <= 1 || n <= grain || t_inline) {
     fn(0, n);
     return;
   }

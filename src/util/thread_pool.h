@@ -22,6 +22,14 @@ namespace odf {
 /// contiguous chunks with no work stealing, and every chunk's loop body is
 /// independent of which thread runs it. Kernels built on top therefore
 /// produce identical results for every thread count (see substrate_test).
+///
+/// A thread that takes its concurrency from elsewhere opts out with
+/// `RunInlineOnThisThread()`: every ParallelFor it issues afterwards runs
+/// inline, exactly as inside a pool task. Each `ForecastService` worker does
+/// this once at start, so serving plans run serially and serving scales by
+/// batches and shard units instead of waking the pool for microsecond
+/// kernels. Direct `ForwardPlan::Run`, `Predict` and training stay on the
+/// pool.
 class ThreadPool {
  public:
   /// The shared pool. Created on first use; sized from `ODF_THREADS`.
@@ -48,13 +56,16 @@ class ThreadPool {
 
   /// Runs `fn` over `[0, n)`, split into at most `threads()` contiguous
   /// chunks of at least `grain` iterations each. Runs inline when the pool
-  /// is serial, when `n <= grain`, or when called from inside a pool task
-  /// (nested parallelism is serialized rather than oversubscribed).
-  /// Blocks until every chunk has finished.
+  /// is serial, when `n <= grain`, when called from inside a pool task
+  /// (nested parallelism is serialized rather than oversubscribed), or on a
+  /// thread marked by `RunInlineOnThisThread`. Blocks until every chunk has
+  /// finished.
   void ParallelFor(int64_t n, int64_t grain, const RangeFn& fn);
 
-  /// True when the calling thread is a pool worker (nested region).
-  static bool InWorker();
+  /// Marks the calling thread serial for the rest of its life: every
+  /// ParallelFor it issues runs inline. Results are unchanged (see above);
+  /// only the dispatch goes.
+  static void RunInlineOnThisThread();
 
  private:
   void WorkerLoop();

@@ -390,6 +390,81 @@ TEST(ForecastServiceTest, IntervalCacheHitsUntilRollover) {
   }
 }
 
+TEST(ForecastServiceTest, RolloverBeforeGetNeverPublishesStaleInterval) {
+  TestWorld world = TestWorld::Make();
+  AdvancedFrameworkConfig config;
+  AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2, config);
+  serve::ServeConfig serve_config;
+  serve_config.batch_window_us = 500;  // the rollover lands inside it
+  auto service = MakeService(world, model, serve_config);
+  Counter& misses =
+      MetricsRegistry::Global().GetCounter("serve.cache_misses");
+
+  service->SetCurrentInterval(2);
+  std::future<serve::ForecastResult> stale = service->ForecastCurrentAsync();
+  service->SetCurrentInterval(3);
+  const serve::ForecastResult old = stale.get();
+  const serve::ForecastResult direct_old = service->Forecast(2);
+  for (size_t j = 0; j < old->size(); ++j) {
+    EXPECT_TRUE(BitIdentical((*old)[j], (*direct_old)[j]));
+  }
+
+  // The batch for interval 2 finished after the rollover to 3: it must not
+  // have filled the cache, so the next read recomputes interval 3.
+  const uint64_t misses0 = misses.value();
+  const serve::ForecastResult current = service->ForecastCurrent();
+  EXPECT_EQ(misses.value(), misses0 + 1);
+  // The worker filled the cache from that miss's batch.
+  EXPECT_EQ(service->ForecastCurrent().get(), current.get());
+  const serve::ForecastResult direct = service->Forecast(3);
+  ASSERT_EQ(current->size(), direct->size());
+  for (size_t j = 0; j < current->size(); ++j) {
+    EXPECT_TRUE(BitIdentical((*current)[j], (*direct)[j]));
+  }
+}
+
+TEST(ForecastServiceTest, WorkerRunsPlansWithoutPoolDispatch) {
+  PoolGuard guard;
+  ThreadPool::Global().Resize(4);
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(true);
+
+  TestWorld world = TestWorld::Make();
+  AdvancedFrameworkConfig config;
+  AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2, config);
+  serve::ServeConfig serve_config;
+  serve_config.batch_window_us = 0;
+  auto service = MakeService(world, model, serve_config);
+  serve::ForwardPlan plan =
+      serve::PlanCompiler::Compile(model, world.dataset.history());
+  Counter& fors = MetricsRegistry::Global().GetCounter("pool.parallel_fors");
+
+  const int64_t sample = 4;
+  const uint64_t before_served = fors.value();
+  const serve::ForecastResult served = service->Forecast(sample);
+  const uint64_t after_served = fors.value();
+
+  const Batch batch = world.dataset.MakeBatch({sample});
+  const uint64_t before_direct = fors.value();
+  plan.Run(batch.inputs);
+  const uint64_t after_direct = fors.value();
+  SetMetricsEnabled(metrics_were_on);
+
+  // The service worker runs its plan serially; the same plan run on the
+  // caller still dispatches through the pool.
+  EXPECT_EQ(after_served, before_served);
+  EXPECT_GT(after_direct, before_direct);
+  ASSERT_EQ(static_cast<int64_t>(served->size()), plan.horizon());
+  for (int64_t j = 0; j < plan.horizon(); ++j) {
+    const Tensor& out = plan.output(j);
+    ASSERT_EQ((*served)[static_cast<size_t>(j)].numel(), out.numel());
+    EXPECT_EQ(std::memcmp((*served)[static_cast<size_t>(j)].data(), out.data(),
+                          static_cast<size_t>(out.numel()) * sizeof(float)),
+              0)
+        << "horizon " << j;
+  }
+}
+
 TEST(ForecastServiceTest, ConcurrentClientsHammerOneWorker) {
   TestWorld world = TestWorld::Make();
   AdvancedFrameworkConfig config;

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "graph/coarsen.h"
@@ -342,6 +344,54 @@ TEST_F(ShardedEndToEndTest, ServiceRoutesAndMergesExactly) {
   }
   EXPECT_GT(intra, 0);
   EXPECT_GT(cross, 0);
+
+  // Concurrent refresh: over several rollovers, a reader routes OD pairs
+  // while the merge refreshes every unit at once. Every merge stays
+  // byte-identical to Predict, whatever the pool size (service workers run
+  // their plans serially either way).
+  const int64_t samples = model.NumSamples();
+  std::vector<std::vector<Tensor>> want;
+  for (int64_t s = 0; s < samples; ++s) want.push_back(model.Predict(s));
+  const int saved = ThreadPool::Global().threads();
+  for (int threads : {1, 4}) {
+    ThreadPool::Global().Resize(threads);
+    std::atomic<bool> done{false};
+    std::atomic<int> bad_reads{0};
+    std::thread reader([&] {
+      for (int64_t i = 0; !done.load(); ++i) {
+        const std::vector<float> hist =
+            service.ForecastOd(i % n, (i * 7 + 3) % n, 0);
+        if (hist.size() != static_cast<size_t>(k)) bad_reads.fetch_add(1);
+      }
+    });
+    for (int64_t roll = 0; roll < 2 * samples; ++roll) {
+      const int64_t current = (sample + 1 + roll) % samples;
+      service.SetCurrentInterval(current);
+      EXPECT_TRUE(TensorBitEqual(service.MergedForecast(0),
+                                 want[static_cast<size_t>(current)][0]))
+          << "threads " << threads << " sample " << current;
+    }
+    done.store(true);
+    reader.join();
+    EXPECT_EQ(bad_reads.load(), 0);
+  }
+  ThreadPool::Global().Resize(saved);
+}
+
+// Out-of-range arguments at the sharded serving boundary are contract
+// violations, caught before any service is asked.
+using ShardedServiceDeathTest = ShardedEndToEndTest;
+
+TEST_F(ShardedServiceDeathTest, OutOfRangeStepAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ShardedModel model(*city_, source_.get(), TinyConfig(4));
+  ShardedService service(&model);
+  service.SetCurrentInterval(0);
+  const int64_t horizon = model.config().horizon;
+  EXPECT_DEATH(service.ForecastOd(0, 1, horizon), "CHECK");
+  EXPECT_DEATH(service.ForecastOd(0, 1, -1), "CHECK");
+  EXPECT_DEATH(service.MergedForecast(horizon), "CHECK");
+  EXPECT_DEATH(service.MergedForecast(-1), "CHECK");
 }
 
 TEST_F(ShardedEndToEndTest, SingleShardHasNoBoundaryModel) {

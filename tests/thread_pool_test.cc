@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,6 +43,27 @@ TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
       }
     }
   }
+}
+
+TEST(ThreadPoolTest, InlineThreadRunsWholeRangeOnItself) {
+  ThreadPool pool(4);
+  std::thread marked([&] {
+    ThreadPool::RunInlineOnThisThread();
+    const std::thread::id self = std::this_thread::get_id();
+    int calls = 0;
+    pool.ParallelFor(1000, 1, [&](int64_t begin, int64_t end) {
+      ++calls;
+      EXPECT_EQ(begin, 0);
+      EXPECT_EQ(end, 1000);
+      EXPECT_EQ(std::this_thread::get_id(), self);
+    });
+    EXPECT_EQ(calls, 1);
+  });
+  marked.join();
+  // The mark is per thread: this thread still splits the range.
+  std::atomic<int> chunks{0};
+  pool.ParallelFor(1000, 1, [&](int64_t, int64_t) { chunks.fetch_add(1); });
+  EXPECT_EQ(chunks.load(), 4);
 }
 
 TEST(ThreadPoolTest, GrainLimitsChunkCount) {
