@@ -15,9 +15,10 @@
 // ODF_THREADS 1 and 4 and asserts training losses and full-city
 // predictions are byte-identical — the subsystem's determinism contract.
 //
-// Writes BENCH_scale.json. `--smoke` runs a 1-epoch n=64 subset and
-// exits non-zero if the warm serve p50 or peak RSS exceed generous
-// ceilings, or if the bit-identity check fails (CI smoke).
+// Writes BENCH_scale.json, stamped with the host (bench/host_stamp.h).
+// `--smoke` runs a 1-epoch n=64 subset and exits non-zero if the warm
+// serve p50 or peak RSS exceed generous ceilings, or if the bit-identity
+// check fails (CI smoke).
 
 #include <sys/resource.h>
 #include <sys/stat.h>
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/host_stamp.h"
 #include "graph/region_graph.h"
 #include "od/trip_log.h"
 #include "shard/sharded_model.h"
@@ -92,7 +94,6 @@ shard::ShardedModelConfig ScaleConfig(int64_t num_shards) {
   config.boundary_model.cheb_order = 2;
   config.boundary_model.conv_filters = 2;
   config.boundary_model.gcgru_hidden = 4;
-  config.stream_cache = 8;
   return config;
 }
 
@@ -319,7 +320,8 @@ int Run(bool smoke) {
                 identical ? "ok" : "MISMATCH");
   }
 
-  std::string json = "{\n  \"bench\": \"scale\",\n  \"configs\": [\n";
+  std::string json = "{\n  \"bench\": \"scale\",\n  \"host\": " +
+                     HostStampJson() + ",\n  \"configs\": [\n";
   for (size_t i = 0; i < fragments.size(); ++i) {
     json += fragments[i];
     json += i + 1 == fragments.size() ? "\n" : ",\n";

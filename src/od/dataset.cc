@@ -72,43 +72,46 @@ ForecastDataset::Split ForecastDataset::ChronologicalSplit(
   return split;
 }
 
+void ForecastDataset::Stack(std::span<const int64_t> sample_indices,
+                            int64_t offset, Tensor* values,
+                            Tensor* masks) const {
+  ODF_CHECK(!sample_indices.empty());
+  const int64_t cell = num_origins_ * num_destinations_ * num_buckets_;
+  const Shape shape({static_cast<int64_t>(sample_indices.size()),
+                     num_origins_, num_destinations_, num_buckets_});
+  *values = Tensor(shape);
+  if (masks != nullptr) *masks = Tensor(shape);
+  for (size_t b = 0; b < sample_indices.size(); ++b) {
+    const int64_t at = static_cast<int64_t>(b) * cell;
+    source_->Fill(AnchorInterval(sample_indices[b]) + offset,
+                  values->data() + at,
+                  masks != nullptr ? masks->data() + at : nullptr);
+  }
+}
+
+std::vector<Tensor> ForecastDataset::MakeInputs(
+    std::span<const int64_t> sample_indices) const {
+  std::vector<Tensor> inputs(static_cast<size_t>(history_));
+  for (int64_t step = 0; step < history_; ++step) {
+    Stack(sample_indices, step - history_ + 1,
+          &inputs[static_cast<size_t>(step)], nullptr);
+  }
+  return inputs;
+}
+
 Batch ForecastDataset::MakeBatch(
     std::span<const int64_t> sample_indices) const {
-  ODF_CHECK(!sample_indices.empty());
-  const int64_t n = num_origins_;
-  const int64_t m = num_destinations_;
-  const int64_t k = num_buckets_;
-  const int64_t batch = static_cast<int64_t>(sample_indices.size());
-  const int64_t cell = n * m * k;
-
   Batch out;
+  out.inputs = MakeInputs(sample_indices);
   out.anchor_intervals.reserve(sample_indices.size());
   for (int64_t i : sample_indices) {
     out.anchor_intervals.push_back(AnchorInterval(i));
   }
-
-  auto stack = [&](int64_t offset_from_anchor, bool masks) {
-    Tensor stacked(Shape({batch, n, m, k}));
-    for (int64_t b = 0; b < batch; ++b) {
-      const int64_t t = out.anchor_intervals[static_cast<size_t>(b)] +
-                        offset_from_anchor;
-      // The shared_ptr keeps the tensor alive across the copy even if a
-      // streaming source evicts it from its cache concurrently.
-      const std::shared_ptr<const OdTensor> tensor = source_->Interval(t);
-      const Tensor source =
-          masks ? tensor->ExpandedMask() : tensor->values();
-      std::copy(source.data(), source.data() + cell,
-                stacked.data() + b * cell);
-    }
-    return stacked;
-  };
-
-  for (int64_t step = 0; step < history_; ++step) {
-    out.inputs.push_back(stack(step - history_ + 1, /*masks=*/false));
-  }
+  out.targets.resize(static_cast<size_t>(horizon_));
+  out.target_masks.resize(static_cast<size_t>(horizon_));
   for (int64_t j = 1; j <= horizon_; ++j) {
-    out.targets.push_back(stack(j, /*masks=*/false));
-    out.target_masks.push_back(stack(j, /*masks=*/true));
+    Stack(sample_indices, j, &out.targets[static_cast<size_t>(j - 1)],
+          &out.target_masks[static_cast<size_t>(j - 1)]);
   }
   return out;
 }

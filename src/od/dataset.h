@@ -38,8 +38,8 @@ struct Batch {
 ///    (paper-scale grids; also what the classical baselines need, see
 ///    `series()`);
 ///  - streaming: constructed from an `OdSource*` (e.g. od/stream_source.h
-///    over an on-disk trip log) — intervals are built on demand and peak
-///    memory is bounded by the source's cache, not the dataset length.
+///    over an on-disk trip log) — intervals are built on demand and kept
+///    as sparse records of their observed cells, never as dense tensors.
 ///
 /// The series or source must outlive the dataset. Batches are byte-identical
 /// across the two modes for the same underlying intervals.
@@ -71,6 +71,11 @@ class ForecastDataset {
   Split ChronologicalSplit(double train_fraction,
                            double validation_fraction) const;
 
+  /// The `history()` input steps of the windows `sample_indices`, each
+  /// stacked as [B, N, N', K] — all a forward pass reads (`Batch::inputs`).
+  std::vector<Tensor> MakeInputs(
+      std::span<const int64_t> sample_indices) const;
+
   /// Materializes the windows `sample_indices` as stacked tensors. The span
   /// overload lets callers batch a sub-range of an index list (e.g. the
   /// evaluation loop) without copying it into a fresh vector.
@@ -98,8 +103,16 @@ class ForecastDataset {
   /// streaming-backed dataset — check `has_series()` first.
   const OdTensorSeries& series() const;
 
+  /// The source every interval is read from.
+  const OdSource& source() const { return *source_; }
+
  private:
   void InitDims();
+  /// Stacks interval AnchorInterval(i) + `offset` of each sample i into
+  /// `*values` and, when `masks` is non-null, its observation mask broadcast
+  /// over the bucket axis into `*masks`; both [B, N, N', K].
+  void Stack(std::span<const int64_t> sample_indices, int64_t offset,
+             Tensor* values, Tensor* masks) const;
 
   // In-memory mode owns the view over the series; shared so copies of the
   // dataset keep `source_` valid.

@@ -1,6 +1,7 @@
 #ifndef ODF_OD_HISTOGRAM_H_
 #define ODF_OD_HISTOGRAM_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "util/check.h"
@@ -52,6 +53,20 @@ class SpeedHistogramSpec {
   int num_buckets_;
   double bucket_width_ms_;
 };
+
+/// The normalized histogram of `num_buckets` integer bucket counts that sum
+/// to `total`: out[k] = float(counts[k]) · (1/total), in float.
+/// SpeedHistogramSpec::Build adds 1.0f per sample (exact below 2^24) and
+/// multiplies by the same inverse, so both give the same bytes for the same
+/// speeds — what lets a sparse interval store keep counts, not values.
+inline void NormalizeCounts(const uint32_t* counts, int num_buckets,
+                            uint32_t total, float* out) {
+  ODF_DCHECK(total > 0);
+  const float inv = 1.0f / static_cast<float>(total);
+  for (int k = 0; k < num_buckets; ++k) {
+    out[k] = static_cast<float>(counts[k]) * inv;
+  }
+}
 
 }  // namespace odf
 

@@ -30,27 +30,20 @@ void OdTensor::SetHistogram(int64_t o, int64_t d,
   counts_.At2(o, d) = count;
 }
 
+void OdTensor::SetCounts(int64_t o, int64_t d,
+                         const uint32_t* bucket_counts, uint32_t total) {
+  NormalizeCounts(bucket_counts, static_cast<int>(num_buckets()), total,
+                  &values_.At3(o, d, 0));
+  mask_.At2(o, d) = 1.0f;
+  counts_.At2(o, d) = static_cast<float>(total);
+}
+
 void OdTensor::ClearObservation(int64_t o, int64_t d) {
   for (int64_t k = 0; k < num_buckets(); ++k) {
     values_.At3(o, d, k) = 0.0f;
   }
   mask_.At2(o, d) = 0.0f;
   counts_.At2(o, d) = 0.0f;
-}
-
-Tensor OdTensor::ExpandedMask() const {
-  const int64_t n = num_origins();
-  const int64_t m = num_destinations();
-  const int64_t k = num_buckets();
-  Tensor expanded(Shape({n, m, k}));
-  for (int64_t o = 0; o < n; ++o) {
-    for (int64_t d = 0; d < m; ++d) {
-      const float v = mask_.At2(o, d);
-      if (v == 0.0f) continue;
-      for (int64_t b = 0; b < k; ++b) expanded.At3(o, d, b) = v;
-    }
-  }
-  return expanded;
 }
 
 double OdTensor::ObservedFraction() const {

@@ -1,6 +1,7 @@
 #ifndef ODF_OD_OD_TENSOR_H_
 #define ODF_OD_OD_TENSOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "od/histogram.h"
@@ -37,13 +38,16 @@ class OdTensor {
   void SetHistogram(int64_t o, int64_t d, const std::vector<float>& histogram,
                     float count = 1.0f);
 
+  /// Sets one OD pair from integer counts: `bucket_counts[0..K)` trips per
+  /// bucket, `total` their sum, normalized by NormalizeCounts — so the bytes
+  /// equal BuildOdTensor's for the same trips.
+  void SetCounts(int64_t o, int64_t d, const uint32_t* bucket_counts,
+                 uint32_t total);
+
   /// Removes one OD pair's observation (mask, histogram and count are
   /// zeroed), as if its sensors never reported. Used by the sensor-dropout
   /// scenario injector (sim/scenario.h); a no-op on unobserved pairs.
   void ClearObservation(int64_t o, int64_t d);
-
-  /// Mask broadcast over the bucket dimension: [N, N', K].
-  Tensor ExpandedMask() const;
 
   /// Fraction of observed OD pairs in [0, 1].
   double ObservedFraction() const;

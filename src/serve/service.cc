@@ -223,13 +223,13 @@ void ForecastService::WorkerLoop() {
 }
 
 void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
-  Batch batch = dataset_->MakeBatch(samples);
+  const std::vector<Tensor> inputs = dataset_->MakeInputs(samples);
   const Precision active = precision();
   ForwardPlan* serving = PlanFor(active);
   ODF_CHECK(serving != nullptr);
   {
     ScopedTimer timer(Metrics().batch_forward_seconds);
-    serving->Run(batch.inputs);
+    serving->Run(inputs);
   }
   Metrics().batches.Add(1);
   Metrics().batch_size.Record(samples.size());
@@ -243,7 +243,7 @@ void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
   ForwardPlan* fp64 = PlanFor(Precision::kFp64);
   if (config_.precision_check && fp32 != nullptr && fp64 != nullptr) {
     ForwardPlan* other = serving == fp32 ? fp64 : fp32;
-    other->Run(batch.inputs);
+    other->Run(inputs);
     bool reject = false;
     const int64_t k = fp32->output(0).dim(3);  // histogram buckets
     double batch_kl = 0.0;

@@ -28,8 +28,9 @@ ShardedModelConfig::ShardedModelConfig()
 
 ShardedModel::ShardedModel(const RegionGraph& city, const TripSource* trips,
                            const ShardedModelConfig& config)
-    : city_(&city), trips_(trips), config_(config) {
-  ODF_CHECK(trips != nullptr);
+    : city_(&city),
+      config_(config),
+      store_(trips, config.spec, city.size(), city.size()) {
   partition_ = PartitionRegions(
       city, city.ProximityMatrix(config.partition_proximity),
       config.num_shards);
@@ -37,54 +38,52 @@ ShardedModel::ShardedModel(const RegionGraph& city, const TripSource* trips,
 
   for (int64_t p = 0; p < p_count; ++p) {
     const std::vector<int64_t>& members = partition_.members[p];
-    // Intra-shard trips only, rewritten to shard-local region ids. The
+    // Intra-shard cells only, renumbered to shard-local region ids. The
     // partition is captured by reference: it outlives every unit.
     const ShardPartition& part = partition_;
-    TripMapper mapper = [&part, p](const Trip& trip, int32_t* o,
-                                   int32_t* d) {
-      if (part.shard_of[static_cast<size_t>(trip.origin)] != p ||
-          part.shard_of[static_cast<size_t>(trip.destination)] != p) {
+    RegionPairMap map = [&part, p](int32_t o, int32_t d, int32_t* lo,
+                                   int32_t* ld) {
+      if (part.shard_of[static_cast<size_t>(o)] != p ||
+          part.shard_of[static_cast<size_t>(d)] != p) {
         return false;
       }
-      *o = part.local_of[static_cast<size_t>(trip.origin)];
-      *d = part.local_of[static_cast<size_t>(trip.destination)];
+      *lo = part.local_of[static_cast<size_t>(o)];
+      *ld = part.local_of[static_cast<size_t>(d)];
       return true;
     };
     AdvancedFrameworkConfig af = config_.shard_model;
     af.seed = ShardSeed(config_.shard_model.seed, p);
     shards_.push_back(
-        MakeUnit(ShardGraph(city, members), std::move(mapper), af, af.seed));
+        MakeUnit(ShardGraph(city, members), std::move(map), af, af.seed));
   }
 
   if (p_count > 1) {
-    // Cross-shard trips only, rewritten to shard ids — the boundary model
-    // forecasts one coarse histogram per (shard, shard) pair. Its diagonal
-    // never observes (intra pairs are filtered), which is loss-safe: the
-    // masked loss only scores observed cells.
+    // Cross-shard cells only, summed by (shard, shard) pair — the boundary
+    // model forecasts one coarse histogram per pair. Its diagonal never
+    // observes (intra pairs are filtered), which is loss-safe: the masked
+    // loss only scores observed cells.
     const ShardPartition& part = partition_;
-    TripMapper mapper = [&part](const Trip& trip, int32_t* o, int32_t* d) {
-      const int32_t so = part.shard_of[static_cast<size_t>(trip.origin)];
-      const int32_t sd = part.shard_of[static_cast<size_t>(trip.destination)];
-      if (so == sd) return false;
-      *o = so;
-      *d = sd;
-      return true;
+    RegionPairMap map = [&part](int32_t o, int32_t d, int32_t* so,
+                                int32_t* sd) {
+      *so = part.shard_of[static_cast<size_t>(o)];
+      *sd = part.shard_of[static_cast<size_t>(d)];
+      return *so != *sd;
     };
     AdvancedFrameworkConfig af = config_.boundary_model;
     af.seed = ShardSeed(config_.boundary_model.seed, -1);
-    boundary_ = MakeUnit(BoundaryGraph(city, partition_), std::move(mapper),
-                         af, af.seed);
+    boundary_ = MakeUnit(BoundaryGraph(city, partition_), std::move(map), af,
+                         af.seed);
   }
 }
 
 std::unique_ptr<ShardedModel::Unit> ShardedModel::MakeUnit(
-    RegionGraph graph, TripMapper mapper,
+    RegionGraph graph, RegionPairMap map,
     const AdvancedFrameworkConfig& af_config, uint64_t unit_seed) {
   auto unit = std::make_unique<Unit>(Unit{std::move(graph), nullptr, nullptr,
                                           nullptr});
   const int64_t n = unit->graph.size();
-  unit->source = std::make_unique<TripOdSource>(
-      trips_, config_.spec, n, n, std::move(mapper), config_.stream_cache);
+  unit->source =
+      std::make_unique<MappedOdSource>(&store_, std::move(map), n, n);
   unit->dataset = std::make_unique<ForecastDataset>(
       unit->source.get(), config_.history, config_.horizon);
   AdvancedFrameworkConfig af = af_config;

@@ -42,9 +42,6 @@ struct ShardedModelConfig {
   /// to a single-level AF with a wider proximity kernel (shard centroids
   /// are further apart than regions).
   AdvancedFrameworkConfig boundary_model;
-  /// LRU capacity of each unit's streaming tensor cache; <= 0 reads
-  /// ODF_STREAM_CACHE.
-  int64_t stream_cache = 0;
 
   ShardedModelConfig();
 };
@@ -52,10 +49,10 @@ struct ShardedModelConfig {
 /// Partitioned forecasting ensemble: one AF per shard over that shard's
 /// sub-graph and intra-shard trips, plus (for num_shards > 1) one coarse
 /// AF over the shard super-graph fed by cross-shard trips only — every OD
-/// pair in the city is owned by exactly one model. All per-unit tensors are
-/// built on demand from one shared TripSource through streaming
-/// TripOdSources, so peak memory is bounded by the per-unit caches, not by
-/// N² × intervals.
+/// pair in the city is owned by exactly one model. One city-wide
+/// TripOdSource builds each interval once, as a sparse record of its
+/// observed cells; every unit reads it through a MappedOdSource view that
+/// maps cells, not trips. Memory is the observed cells, not N² × intervals.
 ///
 /// Determinism: unit p's weights depend only on (partition, unit trips,
 /// ShardSeed(seed, p)) — training units in parallel on the global pool
@@ -112,20 +109,20 @@ class ShardedModel {
  private:
   struct Unit {
     RegionGraph graph;
-    std::unique_ptr<TripOdSource> source;
+    std::unique_ptr<MappedOdSource> source;
     std::unique_ptr<ForecastDataset> dataset;
     std::unique_ptr<AdvancedFramework> model;
   };
 
-  std::unique_ptr<Unit> MakeUnit(RegionGraph graph, TripMapper mapper,
+  std::unique_ptr<Unit> MakeUnit(RegionGraph graph, RegionPairMap map,
                                  const AdvancedFrameworkConfig& af_config,
                                  uint64_t unit_seed);
   Unit& unit(int64_t i);
 
   const RegionGraph* city_;
-  const TripSource* trips_;
   ShardedModelConfig config_;
   ShardPartition partition_;
+  TripOdSource store_;
   std::vector<std::unique_ptr<Unit>> shards_;
   std::unique_ptr<Unit> boundary_;
 };

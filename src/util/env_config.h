@@ -57,12 +57,6 @@ namespace odf {
 //   ODF_SHARDS=<n>   default shard count a ShardedModelConfig starts from
 //                    when the caller doesn't set one (default 4; always
 //                    clamped to [1, num_regions] at partition time).
-//   ODF_STREAM_CACHE=<n>  per-source LRU capacity, in intervals, of the
-//                    streaming OD-tensor cache (od/stream_source.h) when
-//                    the owner doesn't pass an explicit capacity
-//                    (default 16, minimum 1). Bounds the peak memory of a
-//                    streamed dataset: each TripOdSource holds at most
-//                    this many [N, N', K] tensors at once.
 //
 // Stress-scenario harness knobs (docs/scenarios.md), read by
 // `production_pipeline --scenarios [--smoke]`:

@@ -76,12 +76,16 @@ TEST(OdTensorTest, SetAndQuery) {
   EXPECT_DOUBLE_EQ(tensor.TotalTrips(), 4.0);
 }
 
-TEST(OdTensorTest, ExpandedMaskBroadcastsBuckets) {
-  OdTensor tensor(2, 2, 3);
-  tensor.SetHistogram(0, 1, {1.0f, 0.0f, 0.0f});
-  Tensor mask = tensor.ExpandedMask();
-  EXPECT_EQ(mask.shape(), Shape({2, 2, 3}));
+TEST(OdSourceTest, FillBroadcastsMaskOverBuckets) {
+  OdTensorSeries series;
+  series.tensors.emplace_back(2, 2, 3);
+  series.tensors[0].SetHistogram(0, 1, {0.5f, 0.0f, 0.5f});
+  const SeriesOdSource source(&series);
+  Tensor values(Shape({2, 2, 3}));
+  Tensor mask(Shape({2, 2, 3}));
+  source.Fill(0, values.data(), mask.data());
   for (int64_t k = 0; k < 3; ++k) {
+    EXPECT_FLOAT_EQ(values.At3(0, 1, k), k == 1 ? 0.0f : 0.5f);
     EXPECT_FLOAT_EQ(mask.At3(0, 1, k), 1.0f);
     EXPECT_FLOAT_EQ(mask.At3(1, 0, k), 0.0f);
   }

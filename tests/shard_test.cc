@@ -81,7 +81,6 @@ ShardedModelConfig TinyConfig(int64_t num_shards) {
   config.boundary_model.cheb_order = 2;
   config.boundary_model.conv_filters = 2;
   config.boundary_model.gcgru_hidden = 2;
-  config.stream_cache = 4;
   return config;
 }
 

@@ -2,10 +2,10 @@
 // "Streaming trip log"): the on-disk ODTL container round-trips losslessly,
 // every corruption in the checkpoint_test matrix (truncation anywhere, bit
 // flips anywhere, zero-length files, forged directory counts) degrades to a
-// typed TripLogStatus — never an abort, never a half-open reader — and the
+// typed TripLogStatus — never an abort, never a half-open reader — the
 // streaming TripOdSource feeds ForecastDataset batches byte-identical to the
-// fully materialized in-memory path while keeping only a bounded LRU of
-// tensors alive.
+// fully materialized in-memory path, and one store serves every unit of a
+// sharded city, building each interval once.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +22,9 @@
 #include "od/od_tensor.h"
 #include "od/stream_source.h"
 #include "od/trip_log.h"
+#include "shard/sharded_model.h"
 #include "util/binary_io.h"
+#include "util/metrics.h"
 
 namespace odf {
 namespace {
@@ -349,7 +352,7 @@ TEST_F(TripLogCorruptionTest, OutOfRangeRegionIdIsBadRecord) {
 }
 
 // ---------------------------------------------------------------------
-// Streaming source: equivalence, cache bound, concurrency.
+// Streaming source: equivalence, region-pair views, concurrency.
 // ---------------------------------------------------------------------
 
 TEST(TripOdSourceTest, BatchesBitIdenticalToMaterializedSeries) {
@@ -364,10 +367,10 @@ TEST(TripOdSourceTest, BatchesBitIdenticalToMaterializedSeries) {
       BuildOdTensorSeries(trips, partition, 6, 6, spec);
   ForecastDataset in_memory(&series, /*history=*/2, /*horizon=*/1);
 
-  // Streaming path, with a cache far smaller than the interval count.
+  // Streaming path: each interval built on demand from the log.
   TripLogReader reader;
   ASSERT_EQ(reader.Open(path), TripLogStatus::kOk);
-  TripOdSource source(&reader, spec, 6, 6, nullptr, /*cache_capacity=*/2);
+  TripOdSource source(&reader, spec, 6, 6);
   ForecastDataset streaming(&source, /*history=*/2, /*horizon=*/1);
 
   EXPECT_TRUE(in_memory.has_series());
@@ -388,57 +391,21 @@ TEST(TripOdSourceTest, BatchesBitIdenticalToMaterializedSeries) {
                             streaming.MakeBatch(all)));
 }
 
-TEST(TripOdSourceTest, LruStaysBoundedAndEvictsLeastRecent) {
-  const TimePartition partition(360, 2);
-  const std::vector<Trip> trips = MakeTrips();
-  VectorTripSource vec(&trips, partition);
-  TripOdSource source(&vec, SpeedHistogramSpec(4, 5.0), 6, 6, nullptr,
-                      /*cache_capacity=*/3);
-  EXPECT_EQ(source.cache_capacity(), 3);
-
-  for (int64_t t = 0; t < 5; ++t) source.Interval(t);
-  std::vector<int64_t> cached = source.CachedIntervals();
-  ASSERT_EQ(cached.size(), 3u);
-  EXPECT_EQ(cached[0], 4);  // most recent first
-  EXPECT_EQ(cached[1], 3);
-  EXPECT_EQ(cached[2], 2);
-
-  // A hit refreshes recency instead of evicting.
-  source.Interval(3);
-  cached = source.CachedIntervals();
-  EXPECT_EQ(cached[0], 3);
-  EXPECT_EQ(cached[1], 4);
-}
-
-TEST(TripOdSourceTest, EvictedSnapshotsStayValidWhileHeld) {
-  const TimePartition partition(360, 2);
-  const std::vector<Trip> trips = MakeTrips();
-  VectorTripSource vec(&trips, partition);
-  const SpeedHistogramSpec spec(4, 5.0);
-  TripOdSource source(&vec, spec, 6, 6, nullptr, /*cache_capacity=*/1);
-
-  const std::shared_ptr<const OdTensor> held = source.Interval(0);
-  const Tensor copy = held->values();
-  for (int64_t t = 1; t < 4; ++t) source.Interval(t);  // evicts interval 0
-  EXPECT_TRUE(TensorBitEqual(held->values(), copy));
-  // A rebuild of the evicted interval is byte-identical.
-  EXPECT_TRUE(TensorBitEqual(source.Interval(0)->values(), held->values()));
-}
-
 TEST(TripOdSourceTest, MapperFiltersAndRemaps) {
   const TimePartition partition(360, 2);
   const std::vector<Trip> trips = MakeTrips();
   VectorTripSource vec(&trips, partition);
   const SpeedHistogramSpec spec(4, 5.0);
-  // Keep only trips out of region 0, remapped to a 1×6 tensor.
-  TripMapper mapper = [](const Trip& trip, int32_t* o, int32_t* d) {
-    if (trip.origin != 0) return false;
-    *o = 0;
-    *d = trip.destination;
+  TripOdSource store(&vec, spec, 6, 6);
+  // Keep only cells out of region 0, remapped to a 1×6 tensor.
+  RegionPairMap map = [](int32_t o, int32_t d, int32_t* mo, int32_t* md) {
+    if (o != 0) return false;
+    *mo = 0;
+    *md = d;
     return true;
   };
-  TripOdSource source(&vec, spec, 1, 6, mapper, 4);
-  const std::shared_ptr<const OdTensor> tensor = source.Interval(0);
+  MappedOdSource view(&store, map, 1, 6);
+  const std::shared_ptr<const OdTensor> tensor = view.Interval(0);
   EXPECT_EQ(tensor->num_origins(), 1);
   EXPECT_EQ(tensor->num_destinations(), 6);
 
@@ -453,8 +420,17 @@ TEST(TripOdSourceTest, MapperFiltersAndRemaps) {
   const OdTensor expected = BuildOdTensor(filtered, 1, 6, spec);
   EXPECT_TRUE(TensorBitEqual(tensor->values(), expected.values()));
   EXPECT_TRUE(TensorBitEqual(tensor->mask(), expected.mask()));
+  EXPECT_TRUE(TensorBitEqual(tensor->counts(), expected.counts()));
 }
 
+bool OdTensorBitEqual(const OdTensor& a, const OdTensor& b) {
+  return TensorBitEqual(a.values(), b.values()) &&
+         TensorBitEqual(a.mask(), b.mask()) &&
+         TensorBitEqual(a.counts(), b.counts());
+}
+
+// Readers of different intervals on a fresh store build concurrently and
+// all see the bytes of a serial BuildOdTensor.
 TEST(TripOdSourceTest, ConcurrentReadersSeeIdenticalTensors) {
   const TimePartition partition(360, 2);
   const std::vector<Trip> trips = MakeTrips();
@@ -463,12 +439,14 @@ TEST(TripOdSourceTest, ConcurrentReadersSeeIdenticalTensors) {
   TripLogReader reader;
   ASSERT_EQ(reader.Open(path), TripLogStatus::kOk);
   const SpeedHistogramSpec spec(4, 5.0);
-  TripOdSource source(&reader, spec, 6, 6, nullptr, /*cache_capacity=*/2);
+  TripOdSource source(&reader, spec, 6, 6);
 
-  // Reference tensors built serially.
-  std::vector<Tensor> expected;
+  // Reference tensors built serially, without the store.
+  std::vector<OdTensor> expected;
   for (int64_t t = 0; t < partition.NumIntervals(); ++t) {
-    expected.push_back(source.Interval(t)->values());
+    std::vector<Trip> interval;
+    reader.IntervalTrips(t, &interval);
+    expected.push_back(BuildOdTensor(interval, 6, 6, spec));
   }
 
   std::atomic<int> mismatches{0};
@@ -480,8 +458,7 @@ TEST(TripOdSourceTest, ConcurrentReadersSeeIdenticalTensors) {
           const int64_t pick =
               (t + w * 3 + rep) % partition.NumIntervals();
           const std::shared_ptr<const OdTensor> got = source.Interval(pick);
-          if (!TensorBitEqual(got->values(),
-                              expected[static_cast<size_t>(pick)])) {
+          if (!OdTensorBitEqual(*got, expected[static_cast<size_t>(pick)])) {
             mismatches.fetch_add(1);
           }
         }
@@ -490,6 +467,176 @@ TEST(TripOdSourceTest, ConcurrentReadersSeeIdenticalTensors) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+
+  // A record holds the observed cells only.
+  for (int64_t t = 0; t < partition.NumIntervals(); ++t) {
+    const Tensor& mask = expected[static_cast<size_t>(t)].mask();
+    int64_t observed = 0;
+    for (int64_t i = 0; i < mask.numel(); ++i) observed += mask[i] != 0.0f;
+    EXPECT_EQ(source.Record(t).NumCells(), observed) << "interval " << t;
+  }
+}
+
+// ---------------------------------------------------------------------
+// One store shared by every unit of a sharded city.
+// ---------------------------------------------------------------------
+
+/// Trips over `n` regions, `per_interval` per interval: enough that every
+/// boundary cell merges several trips.
+std::vector<Trip> CityTrips(int64_t n, const TimePartition& tp,
+                            int per_interval) {
+  std::vector<Trip> trips;
+  uint64_t state = 777;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  for (int64_t t = 0; t < tp.NumIntervals(); ++t) {
+    const int64_t base_s =
+        t * static_cast<int64_t>(tp.interval_minutes()) * 60;
+    for (int i = 0; i < per_interval; ++i) {
+      Trip trip;
+      trip.origin = static_cast<int32_t>(next() % n);
+      trip.destination = static_cast<int32_t>(next() % n);
+      trip.departure_s =
+          base_s + static_cast<int64_t>(next() % (tp.interval_minutes() * 60));
+      trip.distance_m = 300.0 + static_cast<double>(next() % 3000);
+      trip.duration_s = 60.0 + static_cast<double>(next() % 600);
+      trips.push_back(trip);
+    }
+  }
+  return trips;
+}
+
+shard::ShardedModelConfig TinyShardConfig(int64_t num_shards) {
+  shard::ShardedModelConfig config;
+  config.num_shards = num_shards;
+  config.spec = SpeedHistogramSpec(5, 3.0);
+  config.history = 2;
+  config.horizon = 1;
+  config.shard_model.cheb_order = 2;
+  config.shard_model.conv_filters = 2;
+  config.shard_model.num_levels = 1;
+  config.shard_model.gcgru_hidden = 2;
+  config.boundary_model.cheb_order = 2;
+  config.boundary_model.conv_filters = 2;
+  config.boundary_model.gcgru_hidden = 2;
+  return config;
+}
+
+// Every interval of every shard unit and of the boundary unit equals
+// BuildOdTensor over the trips the per-trip mapping keeps: intra-shard
+// trips in local ids, cross-shard trips in shard ids. The oracle never
+// touches the store. All units together build each interval once.
+TEST(IntervalStoreTest, ShardedUnitsMatchPerTripOracle) {
+  const TimePartition partition(360, 2);
+  const RegionGraph city = RegionGraph::Grid(4, 4, 1.0);
+  const std::vector<Trip> trips = CityTrips(city.size(), partition, 80);
+  VectorTripSource vec(&trips, partition);
+  const shard::ShardedModelConfig config = TinyShardConfig(4);
+
+  SetMetricsEnabled(true);
+  Counter& misses =
+      MetricsRegistry::Global().GetCounter("stream.cache_misses");
+  const uint64_t misses_before = misses.value();
+  shard::ShardedModel model(city, &vec, config);
+  const shard::ShardPartition& part = model.partition();
+  ASSERT_GE(model.num_shards(), 2);
+  ASSERT_TRUE(model.has_boundary());
+
+  for (int64_t u = 0; u < model.num_units(); ++u) {
+    const bool boundary = u == model.num_shards();
+    const OdSource& source = boundary ? model.boundary_dataset()->source()
+                                      : model.shard_dataset(u).source();
+    const int64_t n =
+        boundary ? model.num_shards()
+                 : static_cast<int64_t>(
+                       part.members[static_cast<size_t>(u)].size());
+    for (int64_t t = 0; t < partition.NumIntervals(); ++t) {
+      std::vector<Trip> interval;
+      vec.IntervalTrips(t, &interval);
+      std::vector<Trip> kept;
+      for (Trip trip : interval) {
+        const int32_t so = part.shard_of[static_cast<size_t>(trip.origin)];
+        const int32_t sd =
+            part.shard_of[static_cast<size_t>(trip.destination)];
+        if (boundary) {
+          if (so == sd) continue;
+          trip.origin = so;
+          trip.destination = sd;
+        } else {
+          if (so != u || sd != u) continue;
+          trip.origin = part.local_of[static_cast<size_t>(trip.origin)];
+          trip.destination =
+              part.local_of[static_cast<size_t>(trip.destination)];
+        }
+        kept.push_back(trip);
+      }
+      const OdTensor expected = BuildOdTensor(kept, n, n, config.spec);
+      EXPECT_TRUE(OdTensorBitEqual(*source.Interval(t), expected))
+          << "unit " << u << " interval " << t;
+    }
+  }
+  EXPECT_EQ(misses.value() - misses_before,
+            static_cast<uint64_t>(partition.NumIntervals()));
+  SetMetricsEnabled(false);
+}
+
+// 17 views (as many as a 16-shard city's units) asking for one interval at
+// the same moment build it exactly once; the other 16 read the record.
+TEST(IntervalStoreTest, ConcurrentViewsBuildAnIntervalOnce) {
+  const TimePartition partition(360, 2);
+  const std::vector<Trip> trips = MakeTrips();
+  VectorTripSource vec(&trips, partition);
+  const SpeedHistogramSpec spec(4, 5.0);
+  TripOdSource store(&vec, spec, 6, 6);
+  constexpr int kViews = 17;
+  std::vector<std::unique_ptr<MappedOdSource>> views;
+  for (int v = 0; v < kViews; ++v) {
+    views.push_back(std::make_unique<MappedOdSource>(
+        &store,
+        [v](int32_t o, int32_t d, int32_t* mo, int32_t* md) {
+          *mo = 0;
+          *md = d;
+          return o == v % 6;
+        },
+        1, 6));
+  }
+
+  SetMetricsEnabled(true);
+  Counter& hits = MetricsRegistry::Global().GetCounter("stream.cache_hits");
+  Counter& misses =
+      MetricsRegistry::Global().GetCounter("stream.cache_misses");
+  const uint64_t hits_before = hits.value();
+  const uint64_t misses_before = misses.value();
+  std::atomic<bool> go{false};
+  std::vector<std::shared_ptr<const OdTensor>> got(kViews);
+  std::vector<std::thread> threads;
+  for (int v = 0; v < kViews; ++v) {
+    threads.emplace_back([&, v] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      got[static_cast<size_t>(v)] = views[static_cast<size_t>(v)]->Interval(3);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(misses.value() - misses_before, 1u);
+  EXPECT_EQ(hits.value() - hits_before, static_cast<uint64_t>(kViews - 1));
+  SetMetricsEnabled(false);
+
+  std::vector<Trip> interval;
+  vec.IntervalTrips(3, &interval);
+  for (int v = 0; v < kViews; ++v) {
+    std::vector<Trip> kept;
+    for (Trip trip : interval) {
+      if (trip.origin != v % 6) continue;
+      trip.origin = 0;
+      kept.push_back(trip);
+    }
+    EXPECT_TRUE(OdTensorBitEqual(*got[static_cast<size_t>(v)],
+                                 BuildOdTensor(kept, 1, 6, spec)))
+        << "view " << v;
+  }
 }
 
 }  // namespace
